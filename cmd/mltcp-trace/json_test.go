@@ -55,7 +55,7 @@ func TestJSONSummaryStableAndComplete(t *testing.T) {
 		DroppedByLimiter int64               `json:"dropped_by_limiter"`
 		InterleavedAt    int                 `json:"interleaved_at"`
 		Overlap          float64             `json:"overlap"`
-		Jobs          []struct {
+		Jobs             []struct {
 			Flow         int     `json:"flow"`
 			Name         string  `json:"name"`
 			Profile      string  `json:"profile"`

@@ -26,11 +26,11 @@ import (
 )
 
 var (
-	flowFlag   = flag.Int("flow", 0, "restrict the per-flow sections to this flow ID (0 = all)")
-	eventsFlag = flag.Bool("events", false, "also print the raw event counts per (kind, flow)")
-	widthFlag  = flag.Int("width", 100, "chart width in columns")
-	skipFlag   = flag.Int("skip", 20, "iterations to skip in steady-state averages")
-	jsonFlag   = flag.Bool("json", false, "emit the summary as stable machine-readable JSON instead of text")
+	flowFlag    = flag.Int("flow", 0, "restrict the per-flow sections to this flow ID (0 = all)")
+	eventsFlag  = flag.Bool("events", false, "also print the raw event counts per (kind, flow)")
+	widthFlag   = flag.Int("width", 100, "chart width in columns")
+	skipFlag    = flag.Int("skip", 20, "iterations to skip in steady-state averages")
+	jsonFlag    = flag.Bool("json", false, "emit the summary as stable machine-readable JSON instead of text")
 	explainFlag = flag.Bool("explain", false,
 		"explain the run instead of summarizing it: interleave verdict, phase bands, and per-iteration bottleneck attribution (with -json, the interleave report as stable JSON)")
 	promFlag = flag.Bool("prom", false,

@@ -197,31 +197,47 @@ func interleavedAt(jobs []JobResult, tol float64) int {
 // number of jobs communicating at t. Phases without a recorded end are
 // treated as extending to `until`.
 func overlapScore(jobs []JobResult, from, until sim.Time) float64 {
-	type edge struct {
-		at sim.Time
-		d  int
+	var edges []commEdge
+	for i := range jobs {
+		edges = appendCommEdges(edges, &jobs[i], from, until)
 	}
-	var edges []edge
-	for _, j := range jobs {
-		for i, s := range j.CommStarts {
-			e := until
-			if i < len(j.CommEnds) {
-				e = j.CommEnds[i]
-			}
-			if e <= from || s >= until {
-				continue
-			}
-			if s < from {
-				s = from
-			}
-			if e > until {
-				e = until
-			}
-			if e > s {
-				edges = append(edges, edge{s, +1}, edge{e, -1})
-			}
+	return sweepOverlap(edges)
+}
+
+// A commEdge is one end of a clipped communication interval: d = +1 at
+// its start, -1 at its end.
+type commEdge struct {
+	at sim.Time
+	d  int
+}
+
+// appendCommEdges appends j's communication intervals clipped to
+// [from, until) as start/end edge pairs, in phase order.
+func appendCommEdges(edges []commEdge, j *JobResult, from, until sim.Time) []commEdge {
+	for i, s := range j.CommStarts {
+		e := until
+		if i < len(j.CommEnds) {
+			e = j.CommEnds[i]
+		}
+		if e <= from || s >= until {
+			continue
+		}
+		if s < from {
+			s = from
+		}
+		if e > until {
+			e = until
+		}
+		if e > s {
+			edges = append(edges, commEdge{s, +1}, commEdge{e, -1})
 		}
 	}
+	return edges
+}
+
+// sweepOverlap sorts edges in place and returns the overlap ratio of the
+// intervals they bound (0 when nothing communicates).
+func sweepOverlap(edges []commEdge) float64 {
 	if len(edges) == 0 {
 		return 0
 	}
@@ -272,8 +288,10 @@ func finishCluster(r *Result) {
 	c.SharingPairs, c.DisjointPairs = 0, 0
 	c.SharedOverlap, c.DisjointOverlap = 0, 0
 	from, until := r.Duration/2, r.Duration
+	onPath := map[string]bool{}
+	var edges []commEdge // one buffer for every pair's sweep
 	for i := range r.Jobs {
-		onPath := make(map[string]bool, len(r.Jobs[i].PathLinks))
+		clear(onPath)
 		for _, l := range r.Jobs[i].PathLinks {
 			onPath[l] = true
 		}
@@ -285,7 +303,11 @@ func finishCluster(r *Result) {
 					break
 				}
 			}
-			ov := overlapScore([]JobResult{r.Jobs[i], r.Jobs[k]}, from, until)
+			// The pair's edges in overlapScore's order (job i's, then
+			// job k's), so the sweep sums the same floats.
+			edges = appendCommEdges(edges[:0], &r.Jobs[i], from, until)
+			edges = appendCommEdges(edges, &r.Jobs[k], from, until)
+			ov := sweepOverlap(edges)
 			if shared {
 				c.SharingPairs++
 				c.SharedOverlap += ov

@@ -17,6 +17,7 @@ import (
 	"mltcp/internal/backend"
 	"mltcp/internal/config"
 	"mltcp/internal/diagnose"
+	"mltcp/internal/experiments"
 	"mltcp/internal/telemetry"
 )
 
@@ -90,6 +91,19 @@ func hotpathPoints() []hotpathPoint {
 		{"packet/dctcp-two-gpt2", backend.NamePacket, synth("dctcp", 5, "gpt2", "gpt2")},
 		{"fluid/srpt-three", backend.NameFluid, synth("srpt", 60, "gpt3", "gpt2", "gpt2")},
 		{"fluid/pias-three", backend.NameFluid, synth("pias", 60, "gpt3", "gpt2", "gpt2")},
+		// A dense fat-tree with the fabric benchmark's shape: ~10 flows
+		// active per step over many link-connected components, the load
+		// the max-min allocator's incidence index and per-component
+		// filling are built for.
+		{"fluid/cluster-fattree8-dense", backend.NameFluid, func(*testing.T) *config.Scenario {
+			return experiments.ClusterScenario(experiments.ClusterOpts{
+				Jobs:              48,
+				ArrivalRatePerSec: 16,
+				MeanIters:         8,
+				DurationSec:       10,
+				Seed:              7,
+			})
+		}},
 	}
 }
 

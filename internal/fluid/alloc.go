@@ -1,84 +1,284 @@
 package fluid
 
-import "mltcp/internal/units"
+import "math/bits"
 
 // AllocScratch is the reusable working set for in-place allocators. The
 // Sim owns one and passes it to every AllocateInto/AllocateNetworkInto
 // call, so steady-state allocation decisions touch only flat arrays and
-// allocate nothing. The slices grow to the simulation's link and flow
-// counts once and are then recycled.
+// allocate nothing. On a network, Sim.New sizes every slice once
+// (reserve); otherwise they grow on demand and are then recycled.
 type AllocScratch struct {
-	// Per-link (length = number of network links):
-	Load []float64 // frozen rate charged to each link
-	WSum []float64 // unfrozen weight crossing each link
-	Done []bool    // link already chosen as a bottleneck
-
 	// Per-flow (length = number of active jobs):
 	Frozen     []bool
 	Weights    []float64
 	Bottleneck []int // link that froze each flow (-1 while unfrozen / single-link)
 
-	// cands are the candidate links of the last AllocateNetworkInto
-	// call: the ascending indices every active path crosses. On a
-	// cluster fabric this is a small fraction of the links, and the
-	// allocator's per-round work is proportional to it rather than to
-	// the fabric size. Between calls it also records exactly which WSum
-	// entries may hold stale non-zero values.
-	cands []int
+	// inc is the max-min allocator's incidence index over the active
+	// paths, kept across calls and rebuilt only when the paths change.
+	inc incidence
+
+	// Per indexed link (position k in inc.links, not the link id):
+	load  []float64 // frozen rate charged to the link
+	wsum  []float64 // unfrozen weight crossing the link
+	fill  []float64 // cached max(0, (capacity-load)/wsum) while a candidate
+	done  []bool    // bottleneck already, or never a candidate this call
+	mark  []uint32  // mark[k] == gen: touched by a freeze this round
+	gen   uint32    // the current round's mark
+	touch []int32   // the positions marked this round, in marking order
 }
 
-// links (re)sizes the per-link slices without clearing them: the max-min
-// allocator clears Load/Done only for its candidate links and tracks
-// stale WSum entries through sc.cands, so a cluster-sized fabric is
-// never swept whole.
-func (sc *AllocScratch) links(n int) {
-	if cap(sc.Load) < n {
-		sc.Load = make([]float64, n)
-		sc.WSum = make([]float64, n)
-		sc.Done = make([]bool, n)
+// incidence indexes which flows cross which links for one sequence of
+// active paths. Links are renumbered to dense positions 0..m-1 in
+// ascending link-id order, so every per-link array is m long however
+// large the fabric is, and scanning positions in order scans link ids in
+// order — the bottleneck tie-break depends on it.
+type incidence struct {
+	// The cache key: every active path, in active order. Flow i's path
+	// is paths[pathOff[i]:pathOff[i+1]].
+	pathOff []int32
+	paths   []int
+	// hops holds the same paths as link positions.
+	hops []int32
+	// links maps a position to its link id, ascending.
+	links []int
+	// rowOff/rows is the link→flow CSR: position k is crossed by flows
+	// rows[rowOff[k]:rowOff[k+1]], ascending, a flow repeated once per
+	// crossing.
+	rowOff []int32
+	rows   []int32
+	// The link-connected components: component c owns the ascending
+	// positions compLinks[compOff[c]:compOff[c+1]] and compFlows[c]
+	// flows. No flow crosses two components.
+	compOff   []int32
+	compLinks []int32
+	compFlows []int32
+	// Build-time scratch: pos maps a current link id to its position,
+	// seen is a bitset over link ids (all zero between builds), and
+	// cursor and comp are indexed by position.
+	pos    []int32
+	seen   []uint64
+	cursor []int32
+	comp   []int32
+}
+
+// reserve sizes the scratch for a network of nl links carrying at most
+// flows active jobs whose paths total at most hops link crossings, so
+// that no later call — index rebuilds included — allocates.
+func (sc *AllocScratch) reserve(flows, hops, nl int) {
+	m := min(hops, nl)
+	sc.flows(flows)
+	sc.links(m)
+	ix := &sc.inc
+	ix.pathOff = grow(ix.pathOff, flows+1)
+	ix.paths = grow(ix.paths, hops)
+	ix.hops = grow(ix.hops, hops)
+	ix.rows = grow(ix.rows, hops)
+	ix.growLinks(m)
+	ix.growNetwork(nl)
+}
+
+// grow returns s resliced to length n, reallocating (without copying)
+// when its capacity is short. Callers overwrite every element they use.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
 	}
-	sc.Load = sc.Load[:n]
-	sc.WSum = sc.WSum[:n]
-	sc.Done = sc.Done[:n]
+	return s[:n]
+}
+
+// links (re)sizes the per-position link state for m indexed links.
+func (sc *AllocScratch) links(m int) {
+	sc.load = grow(sc.load, m)
+	sc.wsum = grow(sc.wsum, m)
+	sc.fill = grow(sc.fill, m)
+	sc.done = grow(sc.done, m)
+	sc.touch = grow(sc.touch, m)
+	sc.mark = grow(sc.mark, m)
+	clear(sc.mark)
+	sc.gen = 0
 }
 
 // weights (re)sizes just the Weights slice and returns it. The
 // single-link fillers never read Frozen or Bottleneck, so they skip the
 // per-flow clear that flows performs for the network allocator.
 func (sc *AllocScratch) weights(n int) []float64 {
-	if cap(sc.Weights) < n {
-		sc.Weights = make([]float64, n)
-	}
-	sc.Weights = sc.Weights[:n]
+	sc.Weights = grow(sc.Weights, n)
 	return sc.Weights
 }
 
 // flows (re)sizes and clears the per-flow slices.
 func (sc *AllocScratch) flows(n int) {
-	if cap(sc.Frozen) < n {
-		sc.Frozen = make([]bool, n)
-		sc.Weights = make([]float64, n)
-		sc.Bottleneck = make([]int, n)
-	}
-	sc.Frozen = sc.Frozen[:n]
-	sc.Weights = sc.Weights[:n]
-	sc.Bottleneck = sc.Bottleneck[:n]
+	sc.Frozen = grow(sc.Frozen, n)
+	sc.Weights = grow(sc.Weights, n)
+	sc.Bottleneck = grow(sc.Bottleneck, n)
 	for i := 0; i < n; i++ {
 		sc.Frozen[i] = false
 		sc.Bottleneck[i] = -1
 	}
 }
 
-// Filler is the in-place fast path of Policy: fill rates (length =
-// len(active)) instead of allocating a fresh slice. Implementations must
-// write every element and must produce exactly the same values as their
-// Allocate method — the Sim treats the two as interchangeable.
-type Filler interface {
-	AllocateInto(capacity units.Rate, active []*Job, rates []units.Rate, sc *AllocScratch)
+// growLinks sizes the position-indexed index arrays for m links.
+func (ix *incidence) growLinks(m int) {
+	ix.links = grow(ix.links, m)
+	ix.rowOff = grow(ix.rowOff, m+1)
+	ix.compOff = grow(ix.compOff, m+1)
+	ix.compLinks = grow(ix.compLinks, m)
+	ix.compFlows = grow(ix.compFlows, m)
+	ix.cursor = grow(ix.cursor, m)
+	ix.comp = grow(ix.comp, m)
 }
 
-// NetworkFiller is the in-place fast path of NetworkPolicy, under the
-// same exact-equivalence contract as Filler.
-type NetworkFiller interface {
-	AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate, sc *AllocScratch)
+// growNetwork sizes the link-id-indexed scratch for nl links. Every
+// word of seen, up to its capacity, is zero outside build.
+func (ix *incidence) growNetwork(nl int) {
+	ix.pos = grow(ix.pos, nl)
+	ix.seen = grow(ix.seen, (nl+63)/64)
+}
+
+// matches reports whether the index was built for these paths. The
+// comparison is by value, so a new job with a path identical to its
+// predecessor's keeps the index, and so does a network of another size:
+// nothing in the index depends on links no path crosses.
+//
+// hot
+func (ix *incidence) matches(active []*Job) bool {
+	if len(active)+1 != len(ix.pathOff) {
+		return false
+	}
+	for i, j := range active {
+		key := ix.paths[ix.pathOff[i]:ix.pathOff[i+1]]
+		if len(key) != len(j.Path) {
+			return false
+		}
+		for p, l := range j.Path {
+			if key[p] != l {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// build indexes the active paths on a network of nl links: the key, the
+// dense link positions, the link→flow CSR and the link-connected
+// components (union-find over links shared by a flow). It runs only when
+// the active paths change, and allocates only when the scratch was not
+// reserved large enough.
+//
+// hot
+func (ix *incidence) build(nl int, active []*Job) {
+	ix.growNetwork(nl)
+	total := 0
+	for _, j := range active {
+		total += len(j.Path)
+	}
+	ix.pathOff = grow(ix.pathOff, len(active)+1)
+	ix.paths = grow(ix.paths, total)
+	ix.hops = grow(ix.hops, total)
+	ix.rows = grow(ix.rows, total)
+
+	// The key, with every crossed link marked in seen; then the marked
+	// links, ascending, become positions 0..m-1 (clearing seen again).
+	off := 0
+	for i, j := range active {
+		ix.pathOff[i] = int32(off)
+		for _, l := range j.Path {
+			ix.paths[off] = l
+			off++
+			ix.seen[l>>6] |= 1 << (l & 63)
+		}
+	}
+	ix.pathOff[len(active)] = int32(off)
+	links := ix.links[:0]
+	for w, word := range ix.seen {
+		for ; word != 0; word &= word - 1 {
+			l := w<<6 | bits.TrailingZeros64(word)
+			ix.pos[l] = int32(len(links))
+			links = append(links, l)
+		}
+		ix.seen[w] = 0
+	}
+	ix.links = links
+	m := len(links)
+	ix.growLinks(m)
+	for p, l := range ix.paths {
+		ix.hops[p] = ix.pos[l]
+	}
+
+	// CSR rows: count crossings per position, prefix-sum, then place the
+	// flows in ascending order (cursor is each row's write head).
+	for k := range ix.cursor {
+		ix.cursor[k] = 0
+	}
+	for _, k := range ix.hops {
+		ix.cursor[k]++
+	}
+	ix.rowOff[0] = 0
+	for k := 0; k < m; k++ {
+		ix.rowOff[k+1] = ix.rowOff[k] + ix.cursor[k]
+		ix.cursor[k] = ix.rowOff[k]
+	}
+	for i := range active {
+		for _, k := range ix.hops[ix.pathOff[i]:ix.pathOff[i+1]] {
+			ix.rows[ix.cursor[k]] = int32(i)
+			ix.cursor[k]++
+		}
+	}
+
+	// Components: union every flow's links (cursor now serves as the
+	// union-find parent array), then number the roots in ascending order
+	// of their lowest position and bucket the positions by component.
+	parent := ix.cursor
+	for k := range parent {
+		parent[k] = int32(k)
+	}
+	for i := range active {
+		hops := ix.hops[ix.pathOff[i]:ix.pathOff[i+1]]
+		r := find(parent, hops[0])
+		for _, k := range hops[1:] {
+			if s := find(parent, k); s != r {
+				if s < r {
+					r, s = s, r
+				}
+				parent[s] = r
+			}
+		}
+	}
+	nc := int32(0)
+	for k := range parent {
+		r := find(parent, int32(k))
+		if r == int32(k) {
+			ix.comp[k] = nc
+			ix.compOff[nc+1] = 0
+			ix.compFlows[nc] = 0
+			nc++
+		} else {
+			ix.comp[k] = ix.comp[r] // r < k: already numbered
+		}
+		ix.compOff[ix.comp[k]+1]++
+	}
+	ix.compOff[0] = 0
+	for c := int32(0); c < nc; c++ {
+		ix.compOff[c+1] += ix.compOff[c]
+		ix.cursor[c] = ix.compOff[c] // parent is dead from here on
+	}
+	for k := 0; k < m; k++ {
+		c := ix.comp[k]
+		ix.compLinks[ix.cursor[c]] = int32(k)
+		ix.cursor[c]++
+	}
+	for i := range active {
+		ix.compFlows[ix.comp[ix.hops[ix.pathOff[i]]]]++
+	}
+	ix.compOff = ix.compOff[:nc+1]
+	ix.compFlows = ix.compFlows[:nc]
+}
+
+// find returns k's union-find root, halving the path on the way.
+func find(parent []int32, k int32) int32 {
+	for parent[k] != k {
+		parent[k] = parent[parent[k]]
+		k = parent[k]
+	}
+	return k
 }

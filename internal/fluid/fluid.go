@@ -139,12 +139,12 @@ type Config struct {
 	// (each link then carries its own capacity).
 	Capacity units.Rate
 	// Policy allocates the bottleneck among communicating jobs. When
-	// Network is set it must implement NetworkPolicy.
+	// Network is set it must be MaxMin.
 	Policy Policy
 	// Network, when non-nil, replaces the single bottleneck with a
 	// multi-link fabric: every job must carry a non-empty Path of link
-	// indices into Network.Capacities, and allocation goes through the
-	// policy's AllocateNetwork.
+	// indices into Network.Capacities, and allocation goes through
+	// MaxMin's progressive filling.
 	Network *Network
 	// Step bounds how long allocated rates are held constant before the
 	// policy re-evaluates (default 1ms). Phase boundaries are handled
@@ -168,14 +168,11 @@ type Config struct {
 // wake-up among sleeping jobs is cached, and the per-step rate vector and
 // allocator scratch are reused — a steady-state step allocates nothing.
 type Sim struct {
-	cfg     Config
-	netpol  NetworkPolicy // non-nil iff cfg.Network is set
-	fill    Filler        // cfg.Policy's in-place fast path, if offered
-	ws      bool          // fill is the stateless WeightedShare: call it directly
-	netfill NetworkFiller // netpol's in-place fast path, if offered
-	jobs    []*Job
-	now     sim.Time
-	steps   uint64
+	cfg   Config
+	ws    bool // single link under WeightedShare or MaxMin: call WeightedShare directly
+	jobs  []*Job
+	now   sim.Time
+	steps uint64
 
 	active  []*Job       // communicating jobs, ascending flow id
 	rates   []units.Rate // reused per-step allocation vector
@@ -205,14 +202,10 @@ func New(cfg Config, jobs []*Job) *Sim {
 	}
 	s := &Sim{cfg: cfg, jobs: jobs, minWake: sim.MaxTime}
 	if cfg.Network != nil {
-		np, ok := cfg.Policy.(NetworkPolicy)
-		if !ok {
+		if _, ok := cfg.Policy.(MaxMin); !ok {
 			panic(fmt.Sprintf("fluid: policy %s cannot allocate a multi-link network", cfg.Policy.Name()))
 		}
-		s.netpol = np
-		s.netfill, _ = cfg.Policy.(NetworkFiller)
 	} else {
-		s.fill, _ = cfg.Policy.(Filler)
 		// Devirtualize the dominant single-link case: WeightedShare (and
 		// MaxMin, whose single-link path is WeightedShare by definition)
 		// is stateless, so allocate can call it directly instead of
@@ -222,11 +215,13 @@ func New(cfg Config, jobs []*Job) *Sim {
 			s.ws = true
 		}
 	}
+	hops := 0
 	for i, j := range jobs {
 		if j.Spec.Profile.CommBytes <= 0 || j.Spec.Profile.ComputeTime < 0 {
 			panic(fmt.Sprintf("fluid: job %s has invalid profile %v", j.Spec.Label(), j.Spec.Profile))
 		}
 		if cfg.Network != nil {
+			hops += len(j.Path)
 			if len(j.Path) == 0 {
 				panic(fmt.Sprintf("fluid: job %s has no network path", j.Spec.Label()))
 			}
@@ -244,6 +239,9 @@ func New(cfg Config, jobs []*Job) *Sim {
 		if j.wakeAt < s.minWake {
 			s.minWake = j.wakeAt
 		}
+	}
+	if cfg.Network != nil {
+		s.scratch.reserve(len(jobs), hops, len(cfg.Network.Capacities))
 	}
 	s.active = make([]*Job, 0, len(jobs))
 	s.rates = make([]units.Rate, len(jobs))
@@ -264,7 +262,7 @@ func (s *Sim) Steps() uint64 { return s.steps }
 
 // Run advances the simulation to the given absolute time.
 //
-//hot
+// hot
 func (s *Sim) Run(until sim.Time) {
 	// Loop-invariant hoists: whether telemetry records and the trace
 	// bucket width cannot change mid-run.
@@ -361,10 +359,11 @@ func (s *Sim) Run(until sim.Time) {
 	s.now = until
 }
 
-// allocate fills the per-step rate vector, preferring the policy's
-// in-place fast path and falling back to the allocating interface.
+// allocate fills the per-step rate vector in place for the weighted
+// share and for network max-min, and falls back to the allocating
+// Policy interface for every other policy.
 //
-//hot
+// hot
 func (s *Sim) allocate(active []*Job) []units.Rate {
 	if cap(s.rates) < len(active) {
 		s.rates = make([]units.Rate, len(active))
@@ -376,12 +375,8 @@ func (s *Sim) allocate(active []*Job) []units.Rate {
 		// in-place path produces the same values MaxMin's single-link
 		// Allocate delegates to, so both policies share this branch.
 		WeightedShare{}.AllocateInto(s.cfg.Capacity, active, rates, &s.scratch)
-	case s.netfill != nil:
-		s.netfill.AllocateNetworkInto(s.cfg.Network, active, rates, &s.scratch)
-	case s.netpol != nil:
-		return s.netpol.AllocateNetwork(s.cfg.Network, active)
-	case s.fill != nil:
-		s.fill.AllocateInto(s.cfg.Capacity, active, rates, &s.scratch)
+	case s.cfg.Network != nil:
+		MaxMin{}.AllocateNetworkInto(s.cfg.Network, active, rates, &s.scratch)
 	default:
 		return s.cfg.Policy.Allocate(s.cfg.Capacity, active)
 	}
@@ -393,7 +388,7 @@ func (s *Sim) allocate(active []*Job) []units.Rate {
 // a due wake rescans all jobs, which preserves the original index-ordered
 // wake (and telemetry) sequence exactly.
 //
-//hot
+// hot
 func (s *Sim) wakeDueJobs() {
 	if s.minWake > s.now {
 		return
@@ -436,7 +431,7 @@ func (s *Sim) insertActive(j *Job) {
 // compactActive drops jobs that left the communicating phase during the
 // integration loop, preserving order.
 //
-//hot
+// hot
 func (s *Sim) compactActive() {
 	k := 0
 	for _, j := range s.active {
@@ -453,7 +448,7 @@ func (s *Sim) compactActive() {
 
 // nextBoundary returns the interval to the next wake-up or the step limit.
 //
-//hot
+// hot
 func (s *Sim) nextBoundary(until sim.Time, active []*Job) sim.Time {
 	dt := until - s.now
 	if len(active) > 0 && s.cfg.Step < dt {

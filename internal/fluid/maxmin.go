@@ -29,16 +29,6 @@ func NewNetwork(capacities []units.Rate, names []string) *Network {
 	return &Network{Capacities: capacities, Names: names}
 }
 
-// NetworkPolicy allocates a multi-link network among the communicating
-// jobs. Implementations must return one rate per active job such that on
-// every link the allocated rates sum to at most its capacity.
-type NetworkPolicy interface {
-	Policy
-	// AllocateNetwork returns the instantaneous rate for each active job,
-	// respecting every link capacity along each job's Path.
-	AllocateNetwork(nw *Network, active []*Job) []units.Rate
-}
-
 // MaxMin is the weighted max-min allocator: progressive filling
 // (water-filling) where each flow's level rises in proportion to its
 // Weight() until some link on its path saturates. On a single shared
@@ -58,8 +48,9 @@ func (MaxMin) Allocate(capacity units.Rate, active []*Job) []units.Rate {
 	return WeightedShare{}.Allocate(capacity, active)
 }
 
-// AllocateNetwork implements NetworkPolicy by progressive filling; it is
-// the allocating wrapper around AllocateNetworkInto.
+// AllocateNetwork returns the instantaneous rate for each active job,
+// respecting every link capacity along each job's Path. It is the
+// allocating wrapper around AllocateNetworkInto.
 func (p MaxMin) AllocateNetwork(nw *Network, active []*Job) []units.Rate {
 	rates := make([]units.Rate, len(active))
 	var sc AllocScratch
@@ -67,21 +58,38 @@ func (p MaxMin) AllocateNetwork(nw *Network, active []*Job) []units.Rate {
 	return rates
 }
 
-// AllocateNetworkInto implements NetworkFiller by progressive filling.
-// Each round finds the link that saturates first — the minimum of
+// AllocateNetworkInto fills rates by progressive filling. Each round
+// finds the link that saturates first — the minimum of
 // headroom/Σweights over links still carrying unfrozen flows — freezes
 // every unfrozen flow crossing it at its weighted share of the
 // remaining headroom, and charges those rates to every link on the
 // frozen flows' paths. Ties break toward the lowest link index, so the
 // allocation is a pure function of (network, active jobs).
 //
-// The result satisfies the allocator invariants pinned by maxmin_test.go:
-// per-link conservation, at least one saturated link on every flow's
-// path, and rates proportional to weights among flows sharing a
-// bottleneck. The scratch records each flow's freezing link in
-// sc.Bottleneck.
+// The work is organized around the scratch's incidence index, rebuilt
+// only when the active paths change, so a call costs in proportion to
+// the links and flows that interact, not to the fabric:
 //
-//hot
+//   - Filling runs per link-connected component, each on its own. A
+//     freeze moves load and weight sums only inside its component, and
+//     within one the scan is in ascending link order, so every component
+//     meets its bottlenecks in the same order, with the same tie-breaks,
+//     as one global scan would.
+//   - The flows on a bottleneck come from its CSR row, in active order —
+//     the order a scan over every active path finds them in.
+//   - After a round only the links a frozen flow crosses have their
+//     weight sum and fill recomputed. Each is re-summed over its CSR row
+//     in flow order, the same float additions in the same order as a sum
+//     from scratch; every other link's sum and fill are unchanged.
+//
+// Every rate, and the freezing link recorded in sc.Bottleneck, is thus
+// bit-identical to the plain per-round rescan (pinned against it by the
+// differential tests). The result satisfies the allocator invariants
+// pinned by maxmin_test.go: per-link conservation, at least one
+// saturated link on every flow's path, and rates proportional to weights
+// among flows sharing a bottleneck.
+//
+// hot
 func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate, sc *AllocScratch) {
 	n := len(active)
 	for i := range rates {
@@ -90,115 +98,112 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 	if n == 0 {
 		return
 	}
-	nl := len(nw.Capacities)
-	sc.links(nl)
 	sc.flows(n)
-	load, wsum, done := sc.Load, sc.WSum, sc.Done
 	frozen, weights := sc.Frozen, sc.Weights
-
-	// Clear the weight sums the previous call left behind (exactly the
-	// previous candidate set, possibly beyond this call's nl when the
-	// scratch served a larger fabric — the capacity view covers both),
-	// then charge every active flow's weight along its path.
-	wfull := sc.WSum[:cap(sc.WSum)]
-	for _, l := range sc.cands {
-		wfull[l] = 0
-	}
-	sc.cands = sc.cands[:0]
 	for i, j := range active {
 		if len(j.Path) == 0 {
 			panicNoPath(j)
 		}
 		weights[i] = j.Weight()
 	}
-	for i, j := range active {
-		for _, l := range j.Path {
-			wsum[l] += weights[i]
-		}
+	ix := &sc.inc
+	if !ix.matches(active) {
+		ix.build(len(nw.Capacities), active)
+		sc.links(len(ix.links))
 	}
-	// Candidate links — those crossed by any active flow with positive
-	// weight — in ascending index order, so the bottleneck tie-break
-	// (lowest index first) is identical to a full scan: every skipped
-	// link has wsum == 0 in this and every later round (weights are
-	// non-negative and the unfrozen set only shrinks), so the full scan
-	// would skip it too. Load and Done are cleared candidate-wise; the
-	// rest of the fabric keeps stale values nothing below reads.
-	for l := 0; l < nl; l++ {
-		if wsum[l] > 0 {
-			sc.cands = append(sc.cands, l)
-			load[l] = 0
-			done[l] = false
-		}
-	}
-	cands := sc.cands
+	caps, links, rowOff, rows := nw.Capacities, ix.links, ix.rowOff, ix.rows
+	load, wsum, fill, done, mark, touch := sc.load, sc.wsum, sc.fill, sc.done, sc.mark, sc.touch
 
-	for remaining, first := n, true; remaining > 0; {
-		if first {
-			first = false // round 1's weight sums were computed above
-		} else {
-			for _, l := range cands {
-				wsum[l] = 0
-			}
-			for i, j := range active {
-				if frozen[i] {
+	// Round one's weight sums. A link whose sum is not positive is no
+	// candidate for the whole call (with non-negative weights its sum
+	// stays 0 as flows freeze), so it is marked done up front.
+	for k, l := range links {
+		var w float64
+		for _, f := range rows[rowOff[k]:rowOff[k+1]] {
+			w += weights[f]
+		}
+		wsum[k], load[k], done[k] = w, 0, !(w > 0)
+		if w > 0 {
+			fill[k] = nonNeg(float64(caps[l]) / w) // load is 0: capacity-0 is capacity
+		}
+	}
+
+	for c := range ix.compFlows {
+		comp := ix.compLinks[ix.compOff[c]:ix.compOff[c+1]]
+		for remaining := ix.compFlows[c]; remaining > 0; {
+			// The next bottleneck: least headroom per unit of unfrozen
+			// weight, lowest position on ties.
+			b := int32(-1)
+			var bFill float64
+			for _, k := range comp {
+				if done[k] || wsum[k] <= 0 {
 					continue
 				}
-				for _, l := range j.Path {
-					wsum[l] += weights[i]
+				if b < 0 || fill[k] < bFill {
+					b, bFill = k, fill[k]
+				}
+			}
+			if b < 0 {
+				// Every remaining flow has zero weight on every link.
+				break
+			}
+			bl := links[b]
+			headroom := nonNeg(float64(caps[bl]) - load[b])
+			if sc.gen++; sc.gen == 0 { // wrapped: no stale mark may equal gen
+				clear(mark)
+				sc.gen = 1
+			}
+			gen, nt := sc.gen, 0
+			for _, f := range rows[rowOff[b]:rowOff[b+1]] {
+				if frozen[f] {
+					continue // frozen earlier, or a repeat crossing
+				}
+				// capacity·w/Σw ordering matches WeightedShare exactly
+				// when the bottleneck is the flow's first (load 0,
+				// headroom = capacity).
+				r := headroom * weights[f] / wsum[b]
+				rates[f] = units.Rate(r)
+				frozen[f] = true
+				sc.Bottleneck[f] = bl
+				remaining--
+				for _, k := range ix.hops[ix.pathOff[f]:ix.pathOff[f+1]] {
+					load[k] += r
+					if mark[k] != gen {
+						mark[k] = gen
+						touch[nt] = k
+						nt++
+					}
+				}
+			}
+			done[b] = true
+			if remaining == 0 {
+				break // nothing left to fill: skip the recompute
+			}
+			for _, k := range touch[:nt] {
+				if done[k] {
+					continue
+				}
+				var w float64
+				for _, f := range rows[rowOff[k]:rowOff[k+1]] {
+					if !frozen[f] {
+						w += weights[f]
+					}
+				}
+				wsum[k] = w
+				if w > 0 {
+					fill[k] = nonNeg((float64(caps[links[k]]) - load[k]) / w)
 				}
 			}
 		}
-		// The next bottleneck: least headroom per unit of unfrozen weight.
-		bottleneck := -1
-		var bottleneckFill float64
-		for _, l := range cands {
-			if done[l] || wsum[l] <= 0 {
-				continue
-			}
-			fill := (float64(nw.Capacities[l]) - load[l]) / wsum[l]
-			if fill < 0 {
-				fill = 0 // float drift below zero headroom: freeze at 0
-			}
-			if bottleneck < 0 || fill < bottleneckFill {
-				bottleneck, bottleneckFill = l, fill
-			}
-		}
-		if bottleneck < 0 {
-			// Only reachable if every remaining flow has zero weight on
-			// every link (Σw = 0 everywhere): nothing left to fill.
-			break
-		}
-		headroom := float64(nw.Capacities[bottleneck]) - load[bottleneck]
-		if headroom < 0 {
-			headroom = 0
-		}
-		for i, j := range active {
-			if frozen[i] {
-				continue
-			}
-			onBottleneck := false
-			for _, l := range j.Path {
-				if l == bottleneck {
-					onBottleneck = true
-					break
-				}
-			}
-			if !onBottleneck {
-				continue
-			}
-			// capacity·w/Σw ordering matches WeightedShare exactly when
-			// the bottleneck is the flows' first (load 0, headroom = cap).
-			r := headroom * weights[i] / wsum[bottleneck]
-			rates[i] = units.Rate(r)
-			frozen[i] = true
-			sc.Bottleneck[i] = bottleneck
-			remaining--
-			for _, l := range j.Path {
-				load[l] += r
-			}
-		}
-		done[bottleneck] = true
 	}
+}
+
+// nonNeg clamps float drift below zero headroom to 0 (NaN passes through).
+func nonNeg(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	return x
 }
 
 // panicNoPath keeps the panic formatting (whose fmt arguments box) out

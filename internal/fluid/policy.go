@@ -31,12 +31,13 @@ func (p WeightedShare) Allocate(capacity units.Rate, active []*Job) []units.Rate
 	return rates
 }
 
-// AllocateInto implements Filler. Each job's weight is evaluated once and
-// cached in the scratch — Weight() is a pure function of state that does
-// not change within one allocation, so the cached value is bit-identical
-// to re-evaluating it in the second loop.
+// AllocateInto is Allocate writing into rates (length = len(active))
+// instead of a fresh slice, with the same values. Each job's weight is
+// evaluated once and cached in the scratch — Weight() is a pure function
+// of state that does not change within one allocation, so the cached
+// value is bit-identical to re-evaluating it in the second loop.
 //
-//hot
+// hot
 func (WeightedShare) AllocateInto(capacity units.Rate, active []*Job, rates []units.Rate, sc *AllocScratch) {
 	weights := sc.weights(len(active))
 	var sum float64

@@ -78,11 +78,11 @@ func TestFactDecodeEdges(t *testing.T) {
 	}
 
 	bad := []string{
-		"mltcp-facts/v0\n",                            // unknown version
-		"mltcp-facts/v1\nk\t1\t-\t-\t-\n",             // five columns
-		"mltcp-facts/v1\nk\tx\t-\t-\t-\t-\n",          // non-numeric flags
-		"mltcp-facts/v1\nk\t1\tzero\t-\t-\t-\n",       // bad seed param
-		"mltcp-facts/v1\nk\t0\t-\t-\t-\t-\n",          // zero record
+		"mltcp-facts/v0\n",                      // unknown version
+		"mltcp-facts/v1\nk\t1\t-\t-\t-\n",       // five columns
+		"mltcp-facts/v1\nk\tx\t-\t-\t-\t-\n",    // non-numeric flags
+		"mltcp-facts/v1\nk\t1\tzero\t-\t-\t-\n", // bad seed param
+		"mltcp-facts/v1\nk\t0\t-\t-\t-\t-\n",    // zero record
 	}
 	for _, in := range bad {
 		if _, err := lint.DecodeFacts([]byte(in)); err == nil {

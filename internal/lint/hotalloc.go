@@ -72,12 +72,14 @@ func runHotAlloc(pass *Pass) error {
 
 // hotMarked reports whether the function's doc comment contains a
 // standalone //hot line (the convention: last line of the doc block).
+// gofmt rewrites a bare //hot doc line to "// hot", so both spellings
+// mark the function; prose that merely starts with "hot" does not.
 func hotMarked(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
 		return false
 	}
 	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(c.Text) == "//hot" {
+		if t := strings.TrimSpace(c.Text); t == "//hot" || t == "// hot" {
 			return true
 		}
 	}

@@ -66,7 +66,7 @@ func TestSeedFlowFixture(t *testing.T) {
 func TestHotCallFixture(t *testing.T) {
 	linttest.RunPkgs(t, lint.HotCall,
 		linttest.PkgFixture{Path: "mltcp/internal/lint/helper", Files: []string{"testdata/hotcall/helper.go"}},
-		linttest.PkgFixture{Path: "mltcp/internal/sim", Files: []string{"testdata/hotcall/fixture.go"}},
+		linttest.PkgFixture{Path: "mltcp/internal/sim", Files: []string{"testdata/hotcall/fixture.go", "testdata/hotcall/gofmt.go"}},
 	)
 }
 

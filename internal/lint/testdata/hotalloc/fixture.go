@@ -12,25 +12,25 @@ func (box) handle() {}
 
 func takes(h handler) {}
 
-//hot
+// hot
 func hotClosure(n int) func() int {
 	f := func() int { return n } // want "closure literal in //hot function hotClosure"
 	return f
 }
 
-//hot
+// hot
 func hotBoxing(h handler, v box) {
-	takes(v)            // want "value of type .*box passed to interface parameter in //hot function hotBoxing"
-	takes(h)            // already an interface: no boxing
-	takes(&v)           // pointer-shaped: converts without allocating
-	fmt.Println(v.n)    // want "value of type int passed to interface parameter in //hot function hotBoxing"
-	_ = handler(v)      // want "conversion of .*box to interface .*handler in //hot function hotBoxing"
-	_ = handler(&v)     // pointer conversion: free
-	_ = []handler{nil}  // nil needs no boxing
-	takes(nil)          // nil needs no boxing
+	takes(v)           // want "value of type .*box passed to interface parameter in //hot function hotBoxing"
+	takes(h)           // already an interface: no boxing
+	takes(&v)          // pointer-shaped: converts without allocating
+	fmt.Println(v.n)   // want "value of type int passed to interface parameter in //hot function hotBoxing"
+	_ = handler(v)     // want "conversion of .*box to interface .*handler in //hot function hotBoxing"
+	_ = handler(&v)    // pointer conversion: free
+	_ = []handler{nil} // nil needs no boxing
+	takes(nil)         // nil needs no boxing
 }
 
-//hot
+// hot
 func hotJustified(v box) {
 	takes(v) //lint:allow hotalloc fixture: justified cold-path boxing
 }

@@ -14,14 +14,14 @@ func localAlloc(v int) { localSink(v) }
 // localDeep reaches localAlloc through one more in-package hop.
 func localDeep(v int) { localAlloc(v) }
 
-//hot
+// hot
 func hotLeaf(v int) {
 	f := func() int { return v } // want "closure literal in //hot function hotLeaf"
 	_ = f
 	localSink(v) // want "value of type int passed to interface parameter in //hot function hotLeaf"
 }
 
-//hot
+// hot
 func hotCrossPackage(v int) {
 	helper.Boxy(v)    // want "//hot function hotCrossPackage calls helper.Boxy, which allocates per call"
 	helper.Wrapped(v) // want "//hot function hotCrossPackage calls helper.Wrapped, which allocates per call"
@@ -32,13 +32,13 @@ func hotCrossPackage(v int) {
 	}
 }
 
-//hot
+// hot
 func hotInPackage(v int) {
 	localAlloc(v) // want "//hot function hotInPackage calls fixture.localAlloc, which allocates per call"
 	localDeep(v)  // want "//hot function hotInPackage calls fixture.localDeep, which allocates per call"
 }
 
-//hot
+// hot
 func hotJustifiedCall(v int) {
 	helper.Boxy(v) //lint:allow hotcall fixture: justified cold call on a hot path
 }

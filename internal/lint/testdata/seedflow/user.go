@@ -5,8 +5,8 @@
 package user
 
 import (
-	"mltcp/internal/sim"
 	"mltcp/internal/lint/seedlib"
+	"mltcp/internal/sim"
 )
 
 // Package-level RNG state: single-owner violation regardless of seed.
@@ -16,11 +16,11 @@ func derivedRoots(base uint64) {
 	_ = sim.NewRNG(sim.DeriveSeed(base, 1)) // derivation call: clean
 	_ = sim.NewRNGAt(base, 2)               // sanctioned combined helper: clean
 	s := sim.DeriveSeed(base, 3)
-	_ = sim.NewRNG(s)         // derived local: clean
-	_ = sim.NewRNG(s ^ 0x9e)  // derived operand in arithmetic: clean
-	_ = sim.NewRNG(base)      // parameter: clean here, obligation on callers
-	var runSeed uint64 = 42   // named seed declaration: a reviewable root
-	_ = sim.NewRNG(runSeed)   // clean
+	_ = sim.NewRNG(s)        // derived local: clean
+	_ = sim.NewRNG(s ^ 0x9e) // derived operand in arithmetic: clean
+	_ = sim.NewRNG(base)     // parameter: clean here, obligation on callers
+	var runSeed uint64 = 42  // named seed declaration: a reviewable root
+	_ = sim.NewRNG(runSeed)  // clean
 	r := sim.NewRNGAt(base, 4)
 	_ = sim.NewRNG(r.Uint64()) // stream output: clean
 }
@@ -41,10 +41,10 @@ func badRoots() {
 func localStream(s uint64) *sim.RNG { return sim.NewRNG(s) }
 
 func obligations(base uint64) {
-	_ = localStream(base)             // parameter: clean
-	_ = localStream(11)               // want "argument 0 of user.localStream seeds an RNG but is not derived"
-	_ = seedlib.Stream(base)          // cross-package, derived: clean
-	_ = seedlib.Stream(13)            // want "argument 0 of seedlib.Stream seeds an RNG but is not derived"
+	_ = localStream(base)                // parameter: clean
+	_ = localStream(11)                  // want "argument 0 of user.localStream seeds an RNG but is not derived"
+	_ = seedlib.Stream(base)             // cross-package, derived: clean
+	_ = seedlib.Stream(13)               // want "argument 0 of seedlib.Stream seeds an RNG but is not derived"
 	_ = sim.NewRNG(seedlib.ChildSeed(5)) // FactDerivesSeed callee: clean
 }
 
@@ -54,7 +54,7 @@ func escapes(base uint64) {
 		_ = r.Uint64() // want "RNG r captured by goroutine closure"
 	}()
 	r2 := sim.NewRNGAt(base, 2)
-	go consume(r2) // want "RNG passed into a goroutine"
+	go consume(r2)                              // want "RNG passed into a goroutine"
 	seedlib.SpawnWork(1, sim.NewRNGAt(base, 3)) // want "RNG passed to seedlib.SpawnWork, which spawns goroutines"
 	r3 := sim.NewRNGAt(base, 4)
 	_ = r3.Uint64() // same-scope use: clean

@@ -81,7 +81,7 @@ type delivery struct {
 // dispatching: the engine has already released the event, so nothing
 // references d, and the receive path may immediately reuse it.
 //
-//hot
+// hot
 func (d *delivery) HandleEvent(e *sim.Engine) {
 	l, p := d.l, d.p
 	d.p = nil
@@ -161,7 +161,7 @@ func (l *Link) Send(p *Packet) {
 // Receive implements Receiver.
 func (l *Link) Receive(_ *sim.Engine, p *Packet) { l.Send(p) }
 
-//hot
+// hot
 func (l *Link) startTransmission() {
 	p := l.queue.Dequeue()
 	if p == nil {
@@ -174,7 +174,7 @@ func (l *Link) startTransmission() {
 	l.eng.AfterHandler(txTime, &l.tx)
 }
 
-//hot
+// hot
 func (l *Link) finishTransmission(e *sim.Engine, p *Packet) {
 	l.stats.PacketsSent++
 	l.stats.BytesSent += int64(p.WireSize())

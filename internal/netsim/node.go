@@ -77,7 +77,7 @@ func (h *Host) SetPool(pp *PacketPool) { h.pool = pp }
 // NewPacket returns a zeroed packet for an endpoint to populate and Send,
 // drawn from the topology pool when one is attached.
 //
-//hot
+// hot
 func (h *Host) NewPacket() *Packet { return h.pool.Get() }
 
 // Attach registers the endpoint handling the given flow. Attaching a second
@@ -104,7 +104,7 @@ func (h *Host) Send(p *Packet) {
 // endpoints consume fields synchronously and never retain the struct, so
 // it is recycled as soon as HandlePacket returns.
 //
-//hot
+// hot
 func (h *Host) Receive(eng *sim.Engine, p *Packet) {
 	ep, ok := h.endpoints[p.Flow]
 	if !ok {

@@ -21,7 +21,7 @@ func NewPacketPool() *PacketPool { return &PacketPool{} }
 
 // Get returns a zeroed packet, reusing a recycled one when available.
 //
-//hot
+// hot
 func (pp *PacketPool) Get() *Packet {
 	if pp == nil || len(pp.free) == 0 {
 		return &Packet{}
@@ -38,7 +38,7 @@ func (pp *PacketPool) Get() *Packet {
 // segment. Exactly one component owns a packet at its terminal event
 // (endpoint dispatch, queue drop, or wire loss); only that owner may Put.
 //
-//hot
+// hot
 func (pp *PacketPool) Put(p *Packet) {
 	if pp == nil || p == nil {
 		return

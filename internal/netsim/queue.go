@@ -27,7 +27,7 @@ type pktRing struct {
 	n    int
 }
 
-//hot
+// hot
 func (r *pktRing) push(p *Packet) {
 	if r.n == len(r.buf) {
 		r.grow()
@@ -49,7 +49,7 @@ func (r *pktRing) grow() {
 	r.head = 0
 }
 
-//hot
+// hot
 func (r *pktRing) pop() *Packet {
 	if r.n == 0 {
 		return nil
@@ -82,7 +82,7 @@ func NewDropTail(capacity int64) *DropTail {
 
 // Enqueue implements Queue.
 //
-//hot
+// hot
 func (q *DropTail) Enqueue(p *Packet) bool {
 	if q.bytes+int64(p.WireSize()) > q.capacity {
 		q.drop(p)
@@ -95,7 +95,7 @@ func (q *DropTail) Enqueue(p *Packet) bool {
 
 // Dequeue implements Queue.
 //
-//hot
+// hot
 func (q *DropTail) Dequeue() *Packet {
 	p := q.pkts.pop()
 	if p == nil {
@@ -244,7 +244,7 @@ func NewStrictPriorityQueue(bands int, capacity int64) *StrictPriorityQueue {
 // the lowest-priority band rather than dropped, since band assignment is a
 // host-side tagging policy.
 //
-//hot
+// hot
 func (q *StrictPriorityQueue) Enqueue(p *Packet) bool {
 	if q.bytes+int64(p.WireSize()) > q.capacity {
 		if q.onDrop != nil {
@@ -266,7 +266,7 @@ func (q *StrictPriorityQueue) Enqueue(p *Packet) bool {
 
 // Dequeue implements Queue.
 //
-//hot
+// hot
 func (q *StrictPriorityQueue) Dequeue() *Packet {
 	for b := range q.bands {
 		if p := q.bands[b].pop(); p != nil {

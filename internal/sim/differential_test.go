@@ -292,9 +292,9 @@ func TestDifferentialRandomSchedules(t *testing.T) {
 // -fuzz=FuzzEngineDifferential ./internal/sim` explores further.
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x42, 0x83, 0xc4, 0x05, 0x46, 0x87, 0xff})
-	f.Add([]byte{0x10, 0x10, 0x10, 0x50, 0x90, 0xd0})           // same-time ties, cancel, step, run
-	f.Add([]byte{0x07, 0x17, 0x27, 0x37, 0xc0, 0xc0, 0xc0})     // overflow tier
-	f.Add([]byte{0x01, 0x41, 0x81, 0xc1, 0x02, 0x42, 0x82})     // interleaved schedule/cancel/step
+	f.Add([]byte{0x10, 0x10, 0x10, 0x50, 0x90, 0xd0})       // same-time ties, cancel, step, run
+	f.Add([]byte{0x07, 0x17, 0x27, 0x37, 0xc0, 0xc0, 0xc0}) // overflow tier
+	f.Add([]byte{0x01, 0x41, 0x81, 0xc1, 0x02, 0x42, 0x82}) // interleaved schedule/cancel/step
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			t.Skip("op stream too long")

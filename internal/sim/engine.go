@@ -143,7 +143,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are currently scheduled.
 func (e *Engine) Pending() int { return e.pending }
 
-//hot
+// hot
 func (e *Engine) alloc() *event {
 	ev := e.free
 	if ev == nil {
@@ -154,7 +154,7 @@ func (e *Engine) alloc() *event {
 	return ev
 }
 
-//hot
+// hot
 func (e *Engine) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
@@ -168,7 +168,7 @@ func (e *Engine) release(ev *event) {
 // schedule places ev into the wheel (or the overflow tier) according to
 // its absolute time, relative to the wheel cursor.
 //
-//hot
+// hot
 func (e *Engine) schedule(ev *event) {
 	d := uint64(ev.at ^ e.cur)
 	if d>>(wheelBits*wheelLevels) != 0 {
@@ -197,7 +197,7 @@ func (e *Engine) schedule(ev *event) {
 
 // unlink removes a wheel-resident event from its slot list.
 //
-//hot
+// hot
 func (e *Engine) unlink(ev *event) {
 	l := &e.wheel[ev.level][ev.slot]
 	if ev.prev != nil {
@@ -219,7 +219,7 @@ func (e *Engine) unlink(ev *event) {
 // firstOccupied returns the lowest occupied slot index ≥ from at the
 // given level, or -1.
 //
-//hot
+// hot
 func (e *Engine) firstOccupied(level, from int) int {
 	w := from >> 6
 	if w >= wheelWords {
@@ -242,7 +242,7 @@ func (e *Engine) firstOccupied(level, from int) int {
 // the cursor to the slot's block base. Every event re-lands at a lower
 // level, preserving relative (and therefore FIFO) order.
 //
-//hot
+// hot
 func (e *Engine) cascade(level, slot int, base Time) {
 	e.cur = base
 	l := &e.wheel[level][slot]
@@ -264,7 +264,7 @@ func (e *Engine) cascade(level, slot int, base Time) {
 // cursor never advances past limit (or past an overflow event that fires
 // first), so the engine can keep accepting events at any time ≥ Now.
 //
-//hot
+// hot
 func (e *Engine) popLE(limit Time) *event {
 	for {
 		var of *event
@@ -341,7 +341,7 @@ func panicNegative(d Time) {
 // Now) panics: it always indicates a logic error in simulation code, and
 // silently clamping would hide causality violations.
 //
-//hot
+// hot
 func (e *Engine) At(t Time, fn Handler) EventID {
 	if t < e.now {
 		e.panicPast(t)
@@ -360,7 +360,7 @@ func (e *Engine) At(t Time, fn Handler) EventID {
 
 // After schedules fn to run d after the current time.
 //
-//hot
+// hot
 func (e *Engine) After(d Time, fn Handler) EventID {
 	if d < 0 {
 		panicNegative(d)
@@ -371,7 +371,7 @@ func (e *Engine) After(d Time, fn Handler) EventID {
 // AtHandler schedules h to run at absolute time t. It is the
 // allocation-free counterpart of At for pre-bound handler objects.
 //
-//hot
+// hot
 func (e *Engine) AtHandler(t Time, h EventHandler) EventID {
 	if t < e.now {
 		e.panicPast(t)
@@ -390,7 +390,7 @@ func (e *Engine) AtHandler(t Time, h EventHandler) EventID {
 
 // AfterHandler schedules h to run d after the current time.
 //
-//hot
+// hot
 func (e *Engine) AfterHandler(d Time, h EventHandler) EventID {
 	if d < 0 {
 		panicNegative(d)
@@ -402,7 +402,7 @@ func (e *Engine) AfterHandler(d Time, h EventHandler) EventID {
 // canceled, or zero EventID is a no-op. It reports whether the event was
 // actually pending.
 //
-//hot
+// hot
 func (e *Engine) Cancel(id EventID) bool {
 	ev := id.ev
 	if ev == nil || ev.gen != id.gen {
@@ -430,7 +430,7 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 // event executed before Stop. Events scheduled beyond the deadline remain
 // pending, so the simulation can be resumed with a later deadline.
 //
-//hot
+// hot
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	for !e.stopped {
@@ -457,7 +457,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // Step executes exactly one pending event and reports whether an event was
 // executed.
 //
-//hot
+// hot
 func (e *Engine) Step() bool {
 	ev := e.popLE(MaxTime)
 	if ev == nil {
@@ -479,7 +479,7 @@ func (e *Engine) Step() bool {
 // beyond the wheel horizon. Node positions are tracked in heapIdx so
 // Cancel stays O(log n) without tombstones.
 
-//hot
+// hot
 func (e *Engine) overflowLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -487,14 +487,14 @@ func (e *Engine) overflowLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-//hot
+// hot
 func (e *Engine) overflowPush(ev *event) {
 	ev.heapIdx = int32(len(e.overflow))
 	e.overflow = append(e.overflow, ev)
 	e.overflowUp(int(ev.heapIdx))
 }
 
-//hot
+// hot
 func (e *Engine) overflowPop() *event {
 	ev := e.overflow[0]
 	e.overflowRemove(0)
@@ -502,7 +502,7 @@ func (e *Engine) overflowPop() *event {
 	return ev
 }
 
-//hot
+// hot
 func (e *Engine) overflowRemove(i int32) {
 	n := len(e.overflow) - 1
 	last := e.overflow[n]
@@ -517,7 +517,7 @@ func (e *Engine) overflowRemove(i int32) {
 	e.overflowUp(int(i))
 }
 
-//hot
+// hot
 func (e *Engine) overflowUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -529,7 +529,7 @@ func (e *Engine) overflowUp(i int) {
 	}
 }
 
-//hot
+// hot
 func (e *Engine) overflowDown(i int) {
 	n := len(e.overflow)
 	for {
@@ -549,7 +549,7 @@ func (e *Engine) overflowDown(i int) {
 	}
 }
 
-//hot
+// hot
 func (e *Engine) overflowSwap(i, j int) {
 	e.overflow[i], e.overflow[j] = e.overflow[j], e.overflow[i]
 	e.overflow[i].heapIdx = int32(i)

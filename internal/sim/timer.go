@@ -24,7 +24,7 @@ func NewTimer(e *Engine, fn Handler) *Timer {
 // The timer schedules itself as an EventHandler, so re-arming (the common
 // RTO/pacing pattern) allocates nothing.
 //
-//hot
+// hot
 func (t *Timer) Reset(d Time) {
 	t.Stop()
 	t.expiry = t.e.Now() + d

@@ -127,7 +127,7 @@ func (r *Receiver) flushDelayedAck() {
 	r.sendAck(r.pendingEcho, r.pendingECN)
 }
 
-//hot
+// hot
 func (r *Receiver) sendAck(echoTS sim.Time, ecnEcho bool) {
 	r.acksSent++
 	p := r.host.NewPacket() // zeroed, so assignment matches a fresh literal

@@ -275,7 +275,7 @@ func (s *Sender) trySend(now sim.Time) {
 	}
 }
 
-//hot
+// hot
 func (s *Sender) emit(now sim.Time, seq int64, payload int, isRetx bool) {
 	p := s.host.NewPacket() // zeroed, so assignment matches a fresh literal
 	p.Flow = s.flow

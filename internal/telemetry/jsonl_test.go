@@ -145,7 +145,7 @@ func TestEventFieldsMatchSchema(t *testing.T) {
 func TestFlushLimiterStats(t *testing.T) {
 	rec, _, reg := NewBuffered(Options{SampleEvery: 10 * sim.Millisecond})
 	rec.CwndUpdate(0, 1, 10, 5, sim.Millisecond)
-	rec.CwndUpdate(sim.Millisecond, 1, 11, 5, sim.Millisecond) // dropped
+	rec.CwndUpdate(sim.Millisecond, 1, 11, 5, sim.Millisecond)   // dropped
 	rec.CwndUpdate(2*sim.Millisecond, 1, 12, 5, sim.Millisecond) // dropped
 	rec.FlushLimiterStats()
 	if got := reg.Snapshot().Counters[LimiterDropsMetric]; got != 2 {

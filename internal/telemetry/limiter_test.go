@@ -31,9 +31,9 @@ func TestLimiterFirstEventAlwaysPasses(t *testing.T) {
 func TestLimiterPerKindFlowIndependence(t *testing.T) {
 	rec, buf, _ := NewBuffered(Options{SampleEvery: 100 * sim.Millisecond})
 	at := 10 * sim.Millisecond
-	rec.CwndUpdate(at, 1, 10, 20, sim.Millisecond) // passes: first (cwnd, 1)
-	rec.AggEval(at, 1, 0.5, 1.5)                   // passes: first (agg, 1) — kind independent
-	rec.CwndUpdate(at, 2, 10, 20, sim.Millisecond) // passes: first (cwnd, 2) — flow independent
+	rec.CwndUpdate(at, 1, 10, 20, sim.Millisecond)                 // passes: first (cwnd, 1)
+	rec.AggEval(at, 1, 0.5, 1.5)                                   // passes: first (agg, 1) — kind independent
+	rec.CwndUpdate(at, 2, 10, 20, sim.Millisecond)                 // passes: first (cwnd, 2) — flow independent
 	rec.CwndUpdate(at+sim.Millisecond, 1, 11, 20, sim.Millisecond) // dropped: 1ms < 100ms
 	rec.AggEval(at+sim.Millisecond, 2, 0.5, 1.5)                   // passes: first (agg, 2)
 	if buf.Len() != 4 {
