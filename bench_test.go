@@ -331,76 +331,6 @@ func BenchmarkAblationSlopeIntercept(b *testing.B) {
 	b.ReportMetric(defaultIters, "default-converge-iters")
 }
 
-// BenchmarkEngineThroughput measures raw simulator event throughput, the
-// substrate cost every experiment pays.
-func BenchmarkEngineThroughput(b *testing.B) {
-	eng := sim.New()
-	var step sim.Handler
-	n := 0
-	step = func(e *sim.Engine) {
-		n++
-		if n < b.N {
-			e.After(1, step)
-		}
-	}
-	b.ResetTimer()
-	eng.At(0, step)
-	eng.Run()
-}
-
-// BenchmarkEngineScheduling exercises the timer wheel's hot operations —
-// reschedule (the RTO/pacing pattern), schedule+cancel churn, and
-// cascade-heavy far-future spreads. All must stay at 0 allocs/op: the
-// engine's free list is the foundation of the hot-path alloc budget.
-func BenchmarkEngineScheduling(b *testing.B) {
-	b.Run("reschedule", func(b *testing.B) {
-		e := sim.New()
-		n := 0
-		var tm *sim.Timer
-		tm = sim.NewTimer(e, func(*sim.Engine) {
-			n++
-			if n < b.N {
-				tm.Reset(sim.Millisecond)
-			}
-		})
-		b.ResetTimer()
-		tm.Reset(sim.Millisecond)
-		e.Run()
-	})
-	b.Run("schedule-cancel", func(b *testing.B) {
-		e := sim.New()
-		fn := sim.Handler(func(*sim.Engine) {})
-		var ids [64]sim.EventID
-		for i := 0; i < b.N; i++ {
-			for k := range ids {
-				ids[k] = e.After(sim.Time(k+1)*1000, fn)
-			}
-			for k := range ids {
-				e.Cancel(ids[k])
-			}
-		}
-	})
-	b.Run("cascade", func(b *testing.B) {
-		e := sim.New()
-		fn := sim.Handler(func(*sim.Engine) {})
-		r := sim.NewRNG(1)
-		delays := make([]sim.Time, 256)
-		for i := range delays {
-			delays[i] = sim.Time(r.Uint64() & (1<<44 - 1))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if e.Now() > sim.Time(1)<<60 {
-				e = sim.New() // keep now+delay clear of int64 overflow
-			}
-			for _, d := range delays {
-				e.After(d, fn)
-			}
-			e.Run()
-		}
-	})
-}
-
 // BenchmarkMultiBottleneck reports the long job's slowdown in the
 // parking-lot chain (extension beyond the paper's single bottleneck).
 func BenchmarkMultiBottleneck(b *testing.B) {

@@ -190,7 +190,7 @@ func diagnoseHotpathDivergence(t *testing.T, pt hotpathPoint, firstTrace []byte)
 }
 
 // TestHotPathGoldenTraces is the correctness contract for the hot-path
-// overhaul (timer wheel, pooled events and packets, SoA fluid state):
+// overhaul (event heap, pooled events and packets, SoA fluid state):
 // every checked-in scenario must produce a byte-identical telemetry trace
 // and a DeepEqual Result (compared through a deterministic JSON encoding)
 // before and after the refactor. The golden digests were captured from

@@ -50,6 +50,12 @@ type Link struct {
 	pool    *PacketPool // shared terminal-event recycler (nil: no recycling)
 	tx      txDone      // the one in-flight serialization-complete handler
 	freeDel *delivery   // free list of propagation-delivery handlers
+
+	// txSize and txTime memoize the last serialization time: packet
+	// sizes repeat (MSS data, header-only ACKs), and the zero pair is
+	// already correct because a zero-byte packet serializes in zero time.
+	txSize int
+	txTime sim.Time
 }
 
 // txDone is the pre-bound serialization-complete handler. A link
@@ -169,9 +175,11 @@ func (l *Link) startTransmission() {
 		return
 	}
 	l.busy = true
-	txTime := l.rate.TransmissionTime(int64(p.WireSize()))
+	if size := p.WireSize(); size != l.txSize {
+		l.txSize, l.txTime = size, l.rate.TransmissionTime(int64(size))
+	}
 	l.tx.p = p
-	l.eng.AfterHandler(txTime, &l.tx)
+	l.eng.AfterHandler(l.txTime, &l.tx)
 }
 
 // hot

@@ -237,3 +237,41 @@ func TestLinkHeavyJitterNeverReorders(t *testing.T) {
 		t.Error("jitter had no effect on arrival gaps")
 	}
 }
+
+// TestLinkSerializationTimePerWireSize interleaves wire sizes on one link
+// — MSS data, a header-only ACK, an odd payload, MSS again — so the
+// link's memoized serialization time must be refreshed on every size
+// change. Each packet's serialization must end exactly
+// rate.TransmissionTime(size) after the previous one (back to back) or
+// after its own Send (idle link).
+func TestLinkSerializationTimePerWireSize(t *testing.T) {
+	eng := sim.New()
+	rate := 7 * units.Mbps // odd rate: every size rounds differently
+	l := NewLink(eng, "l", rate, 0, NewDropTail(1<<20), &sink{})
+	var done []sim.Time
+	l.AddTap(func(now sim.Time, _ *Packet) { done = append(done, now) })
+	payloads := []int{MaxPayload, 0, 333, MaxPayload, MaxPayload, 0}
+	// The first four queue back to back; each of the last two finds the
+	// link idle and starts at its own Send.
+	var want []sim.Time
+	end := sim.Time(0)
+	for i, pl := range payloads {
+		if i >= 4 {
+			eng.Run()
+			eng.RunUntil(eng.Now() + sim.Millisecond)
+			end = eng.Now()
+		}
+		l.Send(&Packet{Payload: pl})
+		end += rate.TransmissionTime(int64(pl + HeaderBytes))
+		want = append(want, end)
+	}
+	eng.Run()
+	if len(done) != len(want) {
+		t.Fatalf("serialized %d packets, want %d", len(done), len(want))
+	}
+	for i := range want {
+		if done[i] != want[i] {
+			t.Errorf("packet %d (%dB payload) serialized at %v, want %v", i, payloads[i], done[i], want[i])
+		}
+	}
+}

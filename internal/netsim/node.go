@@ -10,12 +10,12 @@ import (
 type Switch struct {
 	id     NodeID
 	name   string
-	routes map[NodeID]*Link
+	routes []*Link // indexed by destination NodeID; nil means no route
 }
 
 // NewSwitch creates an empty switch.
 func NewSwitch(id NodeID, name string) *Switch {
-	return &Switch{id: id, name: name, routes: make(map[NodeID]*Link)}
+	return &Switch{id: id, name: name}
 }
 
 // ID returns the switch's node ID.
@@ -23,15 +23,32 @@ func (s *Switch) ID() NodeID { return s.id }
 
 // AddRoute directs traffic for dst out of the given link. Later calls for
 // the same destination replace the route.
-func (s *Switch) AddRoute(dst NodeID, l *Link) { s.routes[dst] = l }
+func (s *Switch) AddRoute(dst NodeID, l *Link) {
+	if dst < 0 {
+		panic(fmt.Sprintf("netsim: switch %s route to negative node %d", s.name, dst))
+	}
+	s.routes = growTo(s.routes, int(dst))
+	s.routes[dst] = l
+}
 
 // Receive implements Receiver.
 func (s *Switch) Receive(_ *sim.Engine, p *Packet) {
-	l, ok := s.routes[p.Dst]
-	if !ok {
+	var l *Link
+	if uint(p.Dst) < uint(len(s.routes)) {
+		l = s.routes[p.Dst]
+	}
+	if l == nil {
 		panic(fmt.Sprintf("netsim: switch %s has no route to node %d (flow %d)", s.name, p.Dst, p.Flow))
 	}
 	l.Send(p)
+}
+
+// growTo returns s extended with zero values so that index i is valid.
+func growTo[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
 }
 
 // Endpoint is a transport-layer attachment on a host: the host dispatches
@@ -46,7 +63,7 @@ type Host struct {
 	id        NodeID
 	name      string
 	uplink    *Link
-	endpoints map[FlowID]Endpoint
+	endpoints []Endpoint  // indexed by FlowID; nil means none attached
 	pool      *PacketPool // shared with the topology; nil disables recycling
 }
 
@@ -54,7 +71,7 @@ type Host struct {
 // hosts and links (which need a destination Receiver) can be built in
 // either order.
 func NewHost(id NodeID, name string) *Host {
-	return &Host{id: id, name: name, endpoints: make(map[FlowID]Endpoint)}
+	return &Host{id: id, name: name}
 }
 
 // ID returns the host's node ID.
@@ -83,7 +100,11 @@ func (h *Host) NewPacket() *Packet { return h.pool.Get() }
 // Attach registers the endpoint handling the given flow. Attaching a second
 // endpoint for the same flow panics: it is always a wiring bug.
 func (h *Host) Attach(flow FlowID, ep Endpoint) {
-	if _, dup := h.endpoints[flow]; dup {
+	if flow < 0 {
+		panic(fmt.Sprintf("netsim: host %s endpoint for negative flow %d", h.name, flow))
+	}
+	h.endpoints = growTo(h.endpoints, int(flow))
+	if h.endpoints[flow] != nil {
 		panic(fmt.Sprintf("netsim: host %s already has an endpoint for flow %d", h.name, flow))
 	}
 	h.endpoints[flow] = ep
@@ -106,8 +127,11 @@ func (h *Host) Send(p *Packet) {
 //
 // hot
 func (h *Host) Receive(eng *sim.Engine, p *Packet) {
-	ep, ok := h.endpoints[p.Flow]
-	if !ok {
+	var ep Endpoint
+	if uint(p.Flow) < uint(len(h.endpoints)) {
+		ep = h.endpoints[p.Flow]
+	}
+	if ep == nil {
 		h.panicUnknownFlow(p)
 	}
 	ep.HandlePacket(eng, p)

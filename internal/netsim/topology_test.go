@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"mltcp/internal/sim"
@@ -94,37 +95,83 @@ func TestDumbbellSharedBottleneck(t *testing.T) {
 	}
 }
 
-func TestHostAttachDuplicatePanics(t *testing.T) {
-	h := NewHost(1, "h")
-	h.Attach(1, &echoEndpoint{})
+// mustPanicWith runs fn and fails unless it panics with exactly msg.
+func mustPanicWith(t *testing.T, msg string, fn func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Attach did not panic")
+		t.Helper()
+		if got := recover(); got != msg {
+			t.Errorf("panic = %v, want %q", got, msg)
 		}
 	}()
-	h.Attach(1, &echoEndpoint{})
+	fn()
 }
 
+// TestHostAttachDuplicatePanics also pins the negative-flow refusal and
+// that a refused Attach leaves the first endpoint in place.
+func TestHostAttachDuplicatePanics(t *testing.T) {
+	h := NewHost(1, "h")
+	ep := &echoEndpoint{}
+	h.Attach(1, ep)
+	mustPanicWith(t, "netsim: host h already has an endpoint for flow 1", func() {
+		h.Attach(1, &echoEndpoint{})
+	})
+	mustPanicWith(t, "netsim: host h endpoint for negative flow -2", func() {
+		h.Attach(-2, &echoEndpoint{})
+	})
+	h.Receive(sim.New(), &Packet{Flow: 1})
+	if ep.got != 1 {
+		t.Errorf("first endpoint saw %d packets, want 1", ep.got)
+	}
+}
+
+// TestHostUnknownFlowPanics covers flows below, above, far above and
+// outside (negative) the attached one.
 func TestHostUnknownFlowPanics(t *testing.T) {
 	eng := sim.New()
 	h := NewHost(1, "h")
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown flow did not panic")
-		}
-	}()
-	h.Receive(eng, &Packet{Flow: 99})
+	mustPanicWith(t, "netsim: host h received packet for unknown flow 99", func() {
+		h.Receive(eng, &Packet{Flow: 99})
+	})
+	h.Attach(4, &echoEndpoint{})
+	for _, flow := range []FlowID{3, 5, 1 << 20, -1} {
+		mustPanicWith(t, fmt.Sprintf("netsim: host h received packet for unknown flow %d", flow), func() {
+			h.Receive(eng, &Packet{Flow: flow})
+		})
+	}
 }
 
+// TestSwitchNoRoutePanics covers a switch with no routes, destinations
+// below, between, above and outside (negative) the routed one, and the
+// refusal of a route to a negative node.
 func TestSwitchNoRoutePanics(t *testing.T) {
 	eng := sim.New()
 	s := NewSwitch(1, "s")
-	defer func() {
-		if recover() == nil {
-			t.Error("missing route did not panic")
-		}
-	}()
-	s.Receive(eng, &Packet{Dst: 5})
+	mustPanicWith(t, "netsim: switch s has no route to node 5 (flow 0)", func() {
+		s.Receive(eng, &Packet{Dst: 5})
+	})
+	mustPanicWith(t, "netsim: switch s route to negative node -1", func() {
+		s.AddRoute(-1, NewLink(eng, "neg", units.Gbps, 0, NewDropTail(1<<20), &sink{}))
+	})
+	s.AddRoute(3, NewLink(eng, "l3", units.Gbps, 0, NewDropTail(1<<20), &sink{}))
+	for _, dst := range []NodeID{0, 2, 4, 1 << 20, -1} {
+		mustPanicWith(t, fmt.Sprintf("netsim: switch s has no route to node %d (flow 7)", dst), func() {
+			s.Receive(eng, &Packet{Dst: dst, Flow: 7})
+		})
+	}
+}
+
+func TestSwitchAddRouteReplaces(t *testing.T) {
+	eng := sim.New()
+	first, second := &sink{}, &sink{}
+	s := NewSwitch(0, "s")
+	s.AddRoute(1, NewLink(eng, "a", units.Gbps, 0, NewDropTail(1<<20), first))
+	s.AddRoute(1, NewLink(eng, "b", units.Gbps, 0, NewDropTail(1<<20), second))
+	s.Receive(eng, &Packet{Dst: 1})
+	eng.Run()
+	if len(first.pkts) != 0 || len(second.pkts) != 1 {
+		t.Errorf("deliveries: replaced route %d, new route %d; want 0 and 1", len(first.pkts), len(second.pkts))
+	}
 }
 
 func TestDumbbellConfigValidation(t *testing.T) {

@@ -1,7 +1,7 @@
 package sim
 
-// Differential testing of the timer-wheel engine against the legacy
-// container/heap engine it replaced. The two implementations are driven
+// Differential testing of the event-heap engine against the legacy
+// container/heap engine, an independent (at, seq) oracle. The two implementations are driven
 // in lockstep through randomized schedule/cancel/step/run-until op
 // streams; they must agree on the execution order of every event (the
 // (at, seq) FIFO contract), on Now, and on Pending() after every step.
@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// legacyEngine is a frozen copy of the pre-wheel binary-heap engine. It
+// legacyEngine is a frozen copy of an early container/heap engine. It
 // exists only as the differential-test oracle; production code uses
 // Engine.
 type legacyEngine struct {
@@ -119,26 +119,26 @@ func (e *legacyEngine) Step() bool {
 	return false
 }
 
-// diffHarness drives the wheel and legacy engines in lockstep and checks
+// diffHarness drives the production and legacy engines in lockstep and checks
 // every observable after every operation.
 type diffHarness struct {
 	t      *testing.T
-	wheel  *Engine
+	eng    *Engine
 	legacy *legacyEngine
 
-	wheelLog  []int
+	engLog    []int
 	legacyLog []int
 
 	// Parallel outstanding-event tables: index i in both slices is the
 	// same logical event.
-	wheelIDs  []EventID
+	engIDs    []EventID
 	legacyIDs []*legacyEvent
 
 	nextLabel int
 }
 
 func newDiffHarness(t *testing.T) *diffHarness {
-	return &diffHarness{t: t, wheel: New(), legacy: &legacyEngine{}}
+	return &diffHarness{t: t, eng: New(), legacy: &legacyEngine{}}
 }
 
 // schedule registers the same event (delay, optional self-respawn budget)
@@ -150,52 +150,57 @@ func (h *diffHarness) schedule(delay Time, respawn int, respawnDelay Time) {
 	// Each engine gets its own respawn budget: a shared captured counter
 	// would be decremented by whichever engine steps first and desync the
 	// other.
-	wRespawn, lRespawn := respawn, respawn
-	var wfn func(*Engine)
+	eRespawn, lRespawn := respawn, respawn
+	var efn func(*Engine)
 	var lfn func(*legacyEngine)
-	wfn = func(e *Engine) {
-		h.wheelLog = append(h.wheelLog, label)
-		if wRespawn > 0 {
-			wRespawn--
-			e.After(respawnDelay, wfn)
+	efn = func(e *Engine) {
+		h.engLog = append(h.engLog, label)
+		if eRespawn > 0 {
+			eRespawn--
+			e.After(clampDelay(e.Now(), respawnDelay), efn)
 		}
 	}
 	lfn = func(e *legacyEngine) {
 		h.legacyLog = append(h.legacyLog, label)
 		if lRespawn > 0 {
 			lRespawn--
-			e.At(e.now+respawnDelay, lfn)
+			e.At(e.now+clampDelay(e.now, respawnDelay), lfn)
 		}
 	}
-	h.wheelIDs = append(h.wheelIDs, h.wheel.After(delay, wfn))
+	delay = clampDelay(h.eng.Now(), delay)
+	h.engIDs = append(h.engIDs, h.eng.After(delay, efn))
 	h.legacyIDs = append(h.legacyIDs, h.legacy.At(h.legacy.Now()+delay, lfn))
 }
 
+// clampDelay caps d so that now+d stays ≤ MaxTime once an event at
+// MaxTime has fired.
+func clampDelay(now, d Time) Time { return min(d, MaxTime-now) }
+
 func (h *diffHarness) cancel(i int) {
-	if len(h.wheelIDs) == 0 {
+	if len(h.engIDs) == 0 {
 		return
 	}
-	i %= len(h.wheelIDs)
-	wg := h.wheel.Cancel(h.wheelIDs[i])
+	i %= len(h.engIDs)
+	eg := h.eng.Cancel(h.engIDs[i])
 	lg := h.legacy.Cancel(h.legacyIDs[i])
-	if wg != lg {
-		h.t.Fatalf("Cancel(#%d): wheel=%v legacy=%v", i, wg, lg)
+	if eg != lg {
+		h.t.Fatalf("Cancel(#%d): engine=%v legacy=%v", i, eg, lg)
 	}
 	h.check("cancel")
 }
 
 func (h *diffHarness) step() {
-	wg := h.wheel.Step()
+	eg := h.eng.Step()
 	lg := h.legacy.Step()
-	if wg != lg {
-		h.t.Fatalf("Step: wheel=%v legacy=%v", wg, lg)
+	if eg != lg {
+		h.t.Fatalf("Step: engine=%v legacy=%v", eg, lg)
 	}
 	h.check("step")
 }
 
 func (h *diffHarness) runUntil(delta Time) {
-	deadline := h.wheel.Now() + delta
-	h.wheel.RunUntil(deadline)
+	deadline := h.eng.Now() + clampDelay(h.eng.Now(), delta)
+	h.eng.RunUntil(deadline)
 	h.legacy.RunUntil(deadline)
 	h.check("runUntil")
 }
@@ -203,63 +208,61 @@ func (h *diffHarness) runUntil(delta Time) {
 func (h *diffHarness) drain() {
 	// Drain via single steps so Pending is compared at every event
 	// boundary, then confirm both report empty.
-	for h.wheel.Step() {
+	for h.eng.Step() {
 		if !h.legacy.Step() {
-			h.t.Fatal("legacy drained before wheel")
+			h.t.Fatal("legacy drained before engine")
 		}
 		h.check("drain")
 	}
 	if h.legacy.Step() {
-		h.t.Fatal("wheel drained before legacy")
+		h.t.Fatal("engine drained before legacy")
 	}
 	h.check("drained")
 }
 
 func (h *diffHarness) check(op string) {
 	h.t.Helper()
-	if h.wheel.Now() != h.legacy.Now() {
-		h.t.Fatalf("%s: Now diverged: wheel=%v legacy=%v", op, h.wheel.Now(), h.legacy.Now())
+	if h.eng.Now() != h.legacy.Now() {
+		h.t.Fatalf("%s: Now diverged: engine=%v legacy=%v", op, h.eng.Now(), h.legacy.Now())
 	}
-	if h.wheel.Pending() != h.legacy.Pending() {
-		h.t.Fatalf("%s: Pending diverged: wheel=%d legacy=%d", op, h.wheel.Pending(), h.legacy.Pending())
+	if h.eng.Pending() != h.legacy.Pending() {
+		h.t.Fatalf("%s: Pending diverged: engine=%d legacy=%d", op, h.eng.Pending(), h.legacy.Pending())
 	}
-	if len(h.wheelLog) != len(h.legacyLog) {
-		h.t.Fatalf("%s: fired %d (wheel) vs %d (legacy) events", op, len(h.wheelLog), len(h.legacyLog))
+	if len(h.engLog) != len(h.legacyLog) {
+		h.t.Fatalf("%s: fired %d (engine) vs %d (legacy) events", op, len(h.engLog), len(h.legacyLog))
 	}
-	for i := range h.wheelLog {
-		if h.wheelLog[i] != h.legacyLog[i] {
-			h.t.Fatalf("%s: execution order diverged at %d: wheel=%v legacy=%v",
-				op, i, h.wheelLog[i], h.legacyLog[i])
+	for i := range h.engLog {
+		if h.engLog[i] != h.legacyLog[i] {
+			h.t.Fatalf("%s: execution order diverged at %d: engine=%v legacy=%v",
+				op, i, h.engLog[i], h.legacyLog[i])
 		}
 	}
 }
 
-// delayFor maps a raw random value onto a delay distribution that
-// exercises every wheel level and the overflow tier: exact duplicates
-// (FIFO ties), sub-slot, per-level spans, and beyond-horizon times.
+// delayFor maps a raw random value onto a delay distribution spanning
+// every scale the engine sees: exact duplicates (FIFO ties), then one
+// band per byte of delay, up to far-future times beyond 2^48 ns.
 func delayFor(r *RNG) Time {
 	switch r.Intn(8) {
 	case 0:
 		return 0 // same-instant FIFO ties
 	case 1:
-		return Time(r.Intn(256)) // level 0
+		return Time(r.Intn(256)) // < 256 ns
 	case 2:
-		return Time(r.Intn(1 << 16)) // level 1
+		return Time(r.Intn(1 << 16)) // < 66 µs
 	case 3:
-		return Time(r.Intn(1 << 24)) // level 2
+		return Time(r.Intn(1 << 24)) // < 17 ms
 	case 4:
-		return Time(r.Intn(1 << 32)) // level 3
+		return Time(r.Intn(1 << 32)) // < 4.3 s
 	case 5:
-		return Time(r.Intn(1 << 40)) // level 4
+		return Time(r.Intn(1 << 40)) // < 18 min
 	case 6:
-		return Time(r.Intn(1 << 47)) // level 5
+		return Time(r.Intn(1 << 47)) // < 1.6 days
 	default:
-		return Time(1)<<48 + Time(r.Intn(1<<50)) // overflow tier
+		return Time(1)<<48 + Time(r.Intn(1<<50)) // 3 to 16 days
 	}
 }
 
-// TestDifferentialRandomSchedules drives many independent randomized op
-// streams through both engines.
 func TestDifferentialRandomSchedules(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		trial := trial
@@ -293,8 +296,13 @@ func TestDifferentialRandomSchedules(t *testing.T) {
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x42, 0x83, 0xc4, 0x05, 0x46, 0x87, 0xff})
 	f.Add([]byte{0x10, 0x10, 0x10, 0x50, 0x90, 0xd0})       // same-time ties, cancel, step, run
-	f.Add([]byte{0x07, 0x17, 0x27, 0x37, 0xc0, 0xc0, 0xc0}) // overflow tier
+	f.Add([]byte{0x07, 0x17, 0x27, 0x37, 0xc0, 0xc0, 0xc0}) // far-future spread
 	f.Add([]byte{0x01, 0x41, 0x81, 0xc1, 0x02, 0x42, 0x82}) // interleaved schedule/cancel/step
+	// Heap edge cases.
+	f.Add([]byte{0x33, 0x09, 0x06, 0x40, 0x80})                                     // cancel the root
+	f.Add([]byte{0x33, 0x31, 0x18, 0x36, 0x1e, 0x44, 0x80, 0xc0})                   // cancel the last slot
+	f.Add([]byte{0x0f, 0x30, 0x0f, 0x00, 0x41, 0x80, 0x42, 0x80})                   // cancel inside a same-instant batch
+	f.Add([]byte{0x3f, 0x34, 0x3f, 0x80, 0x40, 0xc0, 0x80, 0x80, 0x3f, 0x01, 0xc0}) // schedule at MaxTime
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			t.Skip("op stream too long")
@@ -302,10 +310,15 @@ func FuzzEngineDifferential(f *testing.F) {
 		h := newDiffHarness(t)
 		// Each byte is one op: top 2 bits select the kind, low 6 bits
 		// seed a per-op RNG so delays are deterministic in the input.
+		// Schedule byte 0x3f schedules at MaxTime instead.
 		for i, b := range data {
 			r := NewRNG(uint64(b&0x3f)*0x9e3779b97f4a7c15 + uint64(i))
 			switch b >> 6 {
 			case 0:
+				if b == 0x3f {
+					h.schedule(MaxTime-h.eng.Now(), 0, 0)
+					break
+				}
 				h.schedule(delayFor(r), int(b)%3, delayFor(r))
 			case 1:
 				h.cancel(int(b & 0x3f))

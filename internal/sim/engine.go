@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine maintains a virtual clock measured in integer nanoseconds and a
-// hierarchical timer wheel of scheduled events. Events scheduled for the same
+// 4-ary min-heap of scheduled events. Events scheduled for the same
 // instant fire in the order they were scheduled, which makes runs reproducible
 // regardless of map iteration order or goroutine scheduling. Nothing in this
 // package (or in any simulation code built on it) reads the wall clock.
@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"time"
 )
 
@@ -73,37 +72,25 @@ type EventHandler interface {
 	HandleEvent(e *Engine)
 }
 
-// Timer-wheel geometry: six levels of 256 slots indexed by successive
-// bytes of the absolute firing time, covering 2^48 ns (~3.3 simulated
-// days) ahead of the wheel cursor. Events beyond that horizon wait in a
-// small overflow heap.
-const (
-	wheelBits   = 8
-	wheelSlots  = 1 << wheelBits
-	wheelLevels = 6
-	wheelWords  = wheelSlots / 64
-)
-
-// event is an intrusive, free-listed timer-wheel node. The engine owns a
-// private pool of them; steady-state schedule/cancel/reschedule traffic
-// allocates nothing.
+// event is a free-listed node holding one scheduled callback. The engine
+// owns a private pool of them; steady-state schedule/cancel/reschedule
+// traffic allocates nothing.
 type event struct {
-	at  Time
-	seq uint64 // insertion order; breaks same-instant ties deterministically
-	fn  Handler
-	h   EventHandler
-
-	prev, next *event // intrusive doubly-linked slot list (next doubles as the free-list link)
-	gen        uint64 // bumped on every release; stale EventIDs can never cancel a reused node
-	level      int8   // wheel level, levelOverflow, or levelFree
-	slot       uint8
-	heapIdx    int32 // position in the overflow heap while level == levelOverflow
+	fn   Handler
+	h    EventHandler
+	next *event // free-list link
+	gen  uint64 // bumped on every release; stale EventIDs can never cancel a reused node
+	idx  int32  // position in the heap while scheduled
 }
 
-const (
-	levelFree     int8 = -1
-	levelOverflow int8 = -2
-)
+// entry is one heap slot. The (at, seq) key lives inline so sifting
+// compares keys without dereferencing events; seq (insertion order)
+// breaks same-instant ties, making (at, seq) a strict total order.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
 
 // EventID identifies a scheduled event so it can be canceled. The zero
 // EventID is invalid and safe to Cancel (a no-op). IDs are generation-
@@ -114,21 +101,15 @@ type EventID struct {
 	gen uint64
 }
 
-type slotList struct{ head, tail *event }
-
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
 	now     Time
-	cur     Time // wheel cursor: ≤ now and ≤ every scheduled wheel event
 	seq     uint64
 	stopped bool
 	fired   uint64
-	pending int
 
-	wheel    [wheelLevels][wheelSlots]slotList
-	occupied [wheelLevels][wheelWords]uint64
-	overflow []*event // (at, seq)-ordered binary heap for the far-future tier
-	free     *event
+	heap []entry // 4-ary min-heap ordered by (at, seq)
+	free *event
 }
 
 // New returns a ready-to-run Engine with the clock at zero.
@@ -141,7 +122,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are currently scheduled.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // hot
 func (e *Engine) alloc() *event {
@@ -159,171 +140,91 @@ func (e *Engine) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.h = nil
-	ev.prev = nil
-	ev.level = levelFree
 	ev.next = e.free
 	e.free = ev
 }
 
-// schedule places ev into the wheel (or the overflow tier) according to
-// its absolute time, relative to the wheel cursor.
+// less orders heap entries by firing time, then insertion order.
 //
 // hot
-func (e *Engine) schedule(ev *event) {
-	d := uint64(ev.at ^ e.cur)
-	if d>>(wheelBits*wheelLevels) != 0 {
-		ev.level = levelOverflow
-		e.overflowPush(ev)
-	} else {
-		level := 0
-		if d != 0 {
-			level = (bits.Len64(d) - 1) >> 3
-		}
-		slot := uint8(ev.at >> (level * wheelBits))
-		ev.level = int8(level)
-		ev.slot = slot
-		l := &e.wheel[level][slot]
-		if l.tail == nil {
-			l.head, l.tail = ev, ev
-			e.occupied[level][slot>>6] |= 1 << (slot & 63)
-		} else {
-			ev.prev = l.tail
-			l.tail.next = ev
-			l.tail = ev
-		}
-	}
-	e.pending++
+func less(a, b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// unlink removes a wheel-resident event from its slot list.
+// push schedules ev at t under the next sequence number.
 //
 // hot
-func (e *Engine) unlink(ev *event) {
-	l := &e.wheel[ev.level][ev.slot]
-	if ev.prev != nil {
-		ev.prev.next = ev.next
-	} else {
-		l.head = ev.next
-	}
-	if ev.next != nil {
-		ev.next.prev = ev.prev
-	} else {
-		l.tail = ev.prev
-	}
-	if l.head == nil {
-		e.occupied[ev.level][ev.slot>>6] &^= 1 << (ev.slot & 63)
-	}
-	ev.prev, ev.next = nil, nil
+func (e *Engine) push(t Time, ev *event) EventID {
+	x := entry{at: t, seq: e.seq, ev: ev}
+	e.seq++
+	e.heap = append(e.heap, x)
+	e.up(len(e.heap)-1, x)
+	return EventID{ev, ev.gen}
 }
 
-// firstOccupied returns the lowest occupied slot index ≥ from at the
-// given level, or -1.
+// up moves x from the hole at i toward the root until its parent is
+// not greater, then stores it there.
 //
 // hot
-func (e *Engine) firstOccupied(level, from int) int {
-	w := from >> 6
-	if w >= wheelWords {
-		return -1
-	}
-	word := e.occupied[level][w] &^ (1<<(from&63) - 1)
-	for {
-		if word != 0 {
-			return w<<6 + bits.TrailingZeros64(word)
-		}
-		w++
-		if w == wheelWords {
-			return -1
-		}
-		word = e.occupied[level][w]
-	}
-}
-
-// cascade redistributes one higher-level slot down the wheel, advancing
-// the cursor to the slot's block base. Every event re-lands at a lower
-// level, preserving relative (and therefore FIFO) order.
-//
-// hot
-func (e *Engine) cascade(level, slot int, base Time) {
-	e.cur = base
-	l := &e.wheel[level][slot]
-	ev := l.head
-	l.head, l.tail = nil, nil
-	e.occupied[level][slot>>6] &^= 1 << (slot & 63)
-	for ev != nil {
-		next := ev.next
-		ev.prev, ev.next = nil, nil
-		e.pending-- // schedule re-increments
-		e.schedule(ev)
-		ev = next
-	}
-}
-
-// popLE removes and returns the earliest scheduled event with firing
-// time ≤ limit, or nil. Ties between the wheel and the overflow tier
-// break on (at, seq), exactly as a single binary heap would. The wheel
-// cursor never advances past limit (or past an overflow event that fires
-// first), so the engine can keep accepting events at any time ≥ Now.
-//
-// hot
-func (e *Engine) popLE(limit Time) *event {
-	for {
-		var of *event
-		if len(e.overflow) > 0 {
-			of = e.overflow[0]
-		}
-		// Level 0: every event in a slot shares one exact timestamp and
-		// the list is in seq order, so the head of the first occupied
-		// slot at or after the cursor is the wheel minimum.
-		if s := e.firstOccupied(0, int(uint8(e.cur))); s >= 0 {
-			ev := e.wheel[0][s].head
-			if of != nil && (of.at < ev.at || (of.at == ev.at && of.seq < ev.seq)) {
-				if of.at > limit {
-					return nil
-				}
-				e.overflowPop()
-				return of
-			}
-			if ev.at > limit {
-				return nil
-			}
-			e.unlink(ev)
-			e.pending--
-			return ev
-		}
-		// Level 0 exhausted for the current block: cascade the nearest
-		// occupied higher-level slot — unless the overflow head or the
-		// limit comes first, in which case the cursor must not move.
-		cascaded := false
-		for level := 1; level < wheelLevels; level++ {
-			s := e.firstOccupied(level, int(uint8(e.cur>>(level*wheelBits)))+1)
-			if s < 0 {
-				continue
-			}
-			span := Time(1) << ((level + 1) * wheelBits)
-			base := e.cur&^(span-1) | Time(s)<<(level*wheelBits)
-			if of != nil && of.at < base {
-				if of.at > limit {
-					return nil
-				}
-				e.overflowPop()
-				return of
-			}
-			if base > limit {
-				return nil
-			}
-			e.cascade(level, s, base)
-			cascaded = true
+func (e *Engine) up(i int, x entry) {
+	h := e.heap
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !less(&x, &h[p]) {
 			break
 		}
-		if cascaded {
-			continue
+		h[i] = h[p]
+		h[i].ev.idx = int32(i)
+		i = p
+	}
+	h[i] = x
+	x.ev.idx = int32(i)
+}
+
+// down moves x from the hole at i toward the leaves until no child is
+// smaller, then stores it there.
+//
+// hot
+func (e *Engine) down(i int, x entry) {
+	h := e.heap
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		// Wheel empty: only the overflow tier remains.
-		if of == nil || of.at > limit {
-			return nil
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if less(&h[j], &h[m]) {
+				m = j
+			}
 		}
-		e.overflowPop()
-		return of
+		if !less(&h[m], &x) {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.idx = int32(i)
+		i = m
+	}
+	h[i] = x
+	x.ev.idx = int32(i)
+}
+
+// remove deletes the entry at heap position i, refilling the hole with
+// the last entry.
+//
+// hot
+func (e *Engine) remove(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && less(&last, &e.heap[(i-1)>>2]) {
+		e.up(i, last)
+	} else {
+		e.down(i, last)
 	}
 }
 
@@ -350,12 +251,8 @@ func (e *Engine) At(t Time, fn Handler) EventID {
 		panic("sim: scheduling nil handler")
 	}
 	ev := e.alloc()
-	ev.at = t
-	ev.seq = e.seq
 	ev.fn = fn
-	e.seq++
-	e.schedule(ev)
-	return EventID{ev, ev.gen}
+	return e.push(t, ev)
 }
 
 // After schedules fn to run d after the current time.
@@ -380,12 +277,8 @@ func (e *Engine) AtHandler(t Time, h EventHandler) EventID {
 		panic("sim: scheduling nil handler")
 	}
 	ev := e.alloc()
-	ev.at = t
-	ev.seq = e.seq
 	ev.h = h
-	e.seq++
-	e.schedule(ev)
-	return EventID{ev, ev.gen}
+	return e.push(t, ev)
 }
 
 // AfterHandler schedules h to run d after the current time.
@@ -408,12 +301,7 @@ func (e *Engine) Cancel(id EventID) bool {
 	if ev == nil || ev.gen != id.gen {
 		return false
 	}
-	if ev.level == levelOverflow {
-		e.overflowRemove(ev.heapIdx)
-	} else {
-		e.unlink(ev)
-	}
-	e.pending--
+	e.remove(int(ev.idx))
 	e.release(ev)
 	return true
 }
@@ -433,20 +321,8 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 // hot
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for !e.stopped {
-		ev := e.popLE(deadline)
-		if ev == nil {
-			break
-		}
-		e.now = ev.at
-		e.fired++
-		fn, h := ev.fn, ev.h
-		e.release(ev)
-		if h != nil {
-			h.HandleEvent(e)
-		} else {
-			fn(e)
-		}
+	for !e.stopped && len(e.heap) > 0 && e.heap[0].at <= deadline {
+		e.fireNext()
 	}
 	if !e.stopped && deadline != MaxTime && e.now < deadline {
 		e.now = deadline
@@ -459,11 +335,23 @@ func (e *Engine) RunUntil(deadline Time) Time {
 //
 // hot
 func (e *Engine) Step() bool {
-	ev := e.popLE(MaxTime)
-	if ev == nil {
+	if len(e.heap) == 0 {
 		return false
 	}
-	e.now = ev.at
+	e.fireNext()
+	return true
+}
+
+// fireNext pops the earliest event, advances the clock to it, and runs
+// it. The node is released before its handler runs, so the handler may
+// reschedule into it.
+//
+// hot
+func (e *Engine) fireNext() {
+	top := e.heap[0]
+	e.remove(0)
+	ev := top.ev
+	e.now = top.at
 	e.fired++
 	fn, h := ev.fn, ev.h
 	e.release(ev)
@@ -472,86 +360,4 @@ func (e *Engine) Step() bool {
 	} else {
 		fn(e)
 	}
-	return true
-}
-
-// Overflow tier: a hand-rolled (at, seq) binary min-heap for events
-// beyond the wheel horizon. Node positions are tracked in heapIdx so
-// Cancel stays O(log n) without tombstones.
-
-// hot
-func (e *Engine) overflowLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// hot
-func (e *Engine) overflowPush(ev *event) {
-	ev.heapIdx = int32(len(e.overflow))
-	e.overflow = append(e.overflow, ev)
-	e.overflowUp(int(ev.heapIdx))
-}
-
-// hot
-func (e *Engine) overflowPop() *event {
-	ev := e.overflow[0]
-	e.overflowRemove(0)
-	e.pending--
-	return ev
-}
-
-// hot
-func (e *Engine) overflowRemove(i int32) {
-	n := len(e.overflow) - 1
-	last := e.overflow[n]
-	e.overflow[n] = nil
-	e.overflow = e.overflow[:n]
-	if int(i) == n {
-		return
-	}
-	e.overflow[i] = last
-	last.heapIdx = i
-	e.overflowDown(int(i))
-	e.overflowUp(int(i))
-}
-
-// hot
-func (e *Engine) overflowUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.overflowLess(e.overflow[i], e.overflow[parent]) {
-			break
-		}
-		e.overflowSwap(i, parent)
-		i = parent
-	}
-}
-
-// hot
-func (e *Engine) overflowDown(i int) {
-	n := len(e.overflow)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && e.overflowLess(e.overflow[right], e.overflow[left]) {
-			least = right
-		}
-		if !e.overflowLess(e.overflow[least], e.overflow[i]) {
-			return
-		}
-		e.overflowSwap(i, least)
-		i = least
-	}
-}
-
-// hot
-func (e *Engine) overflowSwap(i, j int) {
-	e.overflow[i], e.overflow[j] = e.overflow[j], e.overflow[i]
-	e.overflow[i].heapIdx = int32(i)
-	e.overflow[j].heapIdx = int32(j)
 }
