@@ -51,12 +51,7 @@ func main() {
 }
 
 func run(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tr, err := telemetry.Read(f)
+	tr, err := telemetry.ReadTrace(path)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mltcp/internal/backend"
@@ -148,6 +149,22 @@ func TestLearnedTraceRoundTrip(t *testing.T) {
 func TestRunRejectsMissingFile(t *testing.T) {
 	if err := run(filepath.Join(t.TempDir(), "nope.jsonl")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestRunCorruptTraceNamesFile: a decode error names the trace file as
+// well as the line, so a batch of summaries points at the bad one.
+func TestRunCorruptTraceNamesFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corrupt.jsonl")
+	if err := os.WriteFile(path, []byte(`{"t":1,"kind":"retx",`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(path)
+	if err == nil {
+		t.Fatal("corrupt trace accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "line 1: corrupt or truncated") {
+		t.Errorf("error %q does not name %s and line 1", msg, path)
 	}
 }
 

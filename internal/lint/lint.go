@@ -214,18 +214,15 @@ func AnalyzeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 	return kept, nil
 }
 
-// Analyzers returns the default suite in presentation order. HotAlloc
-// is retired: hotcall subsumes its leaf findings and adds call-graph
-// propagation.
+// Analyzers returns the default suite in presentation order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{SimDeterminism, SimUnits, TelemetryEmit, RegistryName, SeedFlow, HotCall, ConcGuard}
 }
 
 // knownAnalyzerNames are every name //lint:allow may legitimately cite:
-// the default roster, the retired-but-referenceable hotalloc, and the
-// framework's own "lint" channel.
+// the default roster and the framework's own "lint" channel.
 func knownAnalyzerNames() map[string]bool {
-	names := map[string]bool{"lint": true, HotAlloc.Name: true}
+	names := map[string]bool{"lint": true}
 	for _, a := range Analyzers() {
 		names[a.Name] = true
 	}
@@ -285,7 +282,7 @@ func auditAllows(fset *token.FileSet, files []*ast.File, info *types.Info,
 
 // factSuppressionAt reports whether a //lint:allow on the given line
 // suppresses a fact instead of a diagnostic: an allocation site (for
-// hotcall/hotalloc, which may sit in a non-//hot function and so never
+// hotcall, which may sit in a non-//hot function and so never
 // produce a local finding, while still killing FactAllocates) or a
 // wall-clock read (for simdeterminism, killing FactUsesWallClock).
 // Such markers are load-bearing even when no diagnostic consumed them.
@@ -303,7 +300,7 @@ func factSuppressionAt(fset *token.FileSet, file *ast.File, info *types.Info,
 			continue
 		}
 		switch name {
-		case HotCall.Name, HotAlloc.Name:
+		case HotCall.Name:
 			forEachAllocSite(info, fd.Body, func(s allocSite) {
 				if covers(s.pos) {
 					found = true

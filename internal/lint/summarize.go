@@ -92,9 +92,9 @@ type ctorSeed struct {
 	arg  ast.Expr
 }
 
-// suppressedBy reports whether pos carries a //lint:allow for any of
-// the named analyzers.
-type suppressFn func(pos token.Pos, analyzers ...string) bool
+// suppressFn reports whether pos carries a //lint:allow for the named
+// analyzer.
+type suppressFn func(pos token.Pos, analyzer string) bool
 
 // Summarize computes and stores facts for every function declared in
 // the package (test files excluded — the invariants govern shipped
@@ -105,14 +105,9 @@ func Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 	info *types.Info, store *FactStore) *CallGraph {
 
 	allowed, _ := suppressions(fset, files)
-	supp := func(pos token.Pos, analyzers ...string) bool {
+	supp := func(pos token.Pos, analyzer string) bool {
 		p := fset.Position(pos)
-		for _, name := range analyzers {
-			if allowed[allowKey{p.Filename, p.Line, name}] {
-				return true
-			}
-		}
-		return false
+		return allowed[allowKey{p.Filename, p.Line, analyzer}]
 	}
 
 	var decls []*declState
@@ -185,7 +180,7 @@ func Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 // sites, RNG constructions, and return expressions.
 func collectLocal(fset *token.FileSet, info *types.Info, supp suppressFn, ds *declState) {
 	forEachAllocSite(info, ds.fd.Body, func(s allocSite) {
-		if !supp(s.pos, HotCall.Name, HotAlloc.Name) {
+		if !supp(s.pos, HotCall.Name) {
 			ds.localAllocs = append(ds.localAllocs, s)
 		}
 	})
@@ -294,7 +289,7 @@ func computeFact(fset *token.FileSet, info *types.Info, supp suppressFn,
 			continue
 		}
 		cf := lookup(c.fn)
-		if !ds.panics && cf.Flags.Has(FactAllocates) && !supp(c.call.Pos(), HotCall.Name, HotAlloc.Name) {
+		if !ds.panics && cf.Flags.Has(FactAllocates) && !supp(c.call.Pos(), HotCall.Name) {
 			alloc = pick(alloc, c.call.Pos(), transWhy(c.fn, cf.AllocWhy))
 		}
 		if cf.Flags.Has(FactUsesWallClock) && !supp(c.call.Pos(), SimDeterminism.Name) {

@@ -3,12 +3,13 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 
 	"mltcp/internal/sim"
@@ -88,19 +89,88 @@ func Revision() string {
 	return ""
 }
 
+// slot names the Event payload field a wire field is stored in. N and
+// M carry integers, V0 and V1 floats.
+type slot uint8
+
+const (
+	slotN slot = iota
+	slotM
+	slotV0
+	slotV1
+)
+
+func (s slot) isFloat() bool { return s >= slotV0 }
+
+// appendValue appends the event's value in slot s, formatted as the
+// JSONL encoding formats it: integers in decimal, floats in the shortest
+// representation that parses back to the same bits.
+func (s slot) appendValue(b []byte, e *Event) []byte {
+	switch s {
+	case slotN:
+		return strconv.AppendInt(b, e.N, 10)
+	case slotM:
+		return strconv.AppendInt(b, e.M, 10)
+	case slotV0:
+		return strconv.AppendFloat(b, e.V0, 'g', -1, 64)
+	default:
+		return strconv.AppendFloat(b, e.V1, 'g', -1, 64)
+	}
+}
+
+// schemaField is one payload field of an event kind's wire form.
+type schemaField struct {
+	key  string
+	slot slot
+}
+
+// kindSchema is one event kind's wire form: its name and its payload
+// fields in encoding order. Every event line is
+// {"t":…,"kind":…[,"flow":…][,"link":…] then the payload fields}.
+type kindSchema struct {
+	name   string
+	fields []schemaField
+}
+
+// schema is the JSONL event schema, indexed by Kind. Encoding
+// (appendEvent), field listing (Event.Fields), and decoding
+// (lineDecoder) all walk it, so a kind's wire form is defined once. The
+// golden test pins the bytes it produces.
+var schema = [...]kindSchema{
+	KindCwnd:         {"cwnd", []schemaField{{"cwnd", slotV0}, {"ssthresh", slotV1}, {"srtt_ns", slotN}}},
+	KindRetransmit:   {"retx", []schemaField{{"seq", slotN}}},
+	KindRTO:          {"rto", []schemaField{{"rto_ns", slotN}, {"cwnd", slotV0}}},
+	KindFastRecovery: {"recovery", []schemaField{{"ssthresh", slotV0}, {"cwnd", slotV1}}},
+	KindAgg:          {"agg", []schemaField{{"ratio", slotV0}, {"factor", slotV1}}},
+	KindQueue:        {"queue", []schemaField{{"bytes", slotN}, {"pkts", slotM}}},
+	KindDrop:         {"drop", []schemaField{{"bytes", slotN}}},
+	KindECNMark:      {"ecn", []schemaField{{"bytes", slotN}}},
+	KindIterStart:    {"iter_start", []schemaField{{"iter", slotN}}},
+	KindIterEnd:      {"iter_end", []schemaField{{"iter", slotN}, {"comm_ns", slotM}}},
+	KindBandwidth:    {"bw", []schemaField{{"bucket_ns", slotM}, {"bytes", slotV0}}},
+}
+
+// schema returns the kind's row of the schema table.
+func (k Kind) schema() (*kindSchema, bool) {
+	if int(k) >= len(schema) || schema[k].name == "" {
+		return nil, false
+	}
+	return &schema[k], true
+}
+
 // appendEvent encodes one event as a JSON line (no trailing newline).
 // Encoding is hand-rolled: field order is fixed, floats use the shortest
 // exact representation, and nothing allocates beyond the destination
 // buffer — the properties that make traces byte-identical across runs.
 func appendEvent(b []byte, e Event) ([]byte, error) {
-	name, ok := kindNames[e.Kind]
+	sc, ok := e.Kind.schema()
 	if !ok {
 		return b, fmt.Errorf("telemetry: cannot encode unknown event kind %d", e.Kind)
 	}
 	b = append(b, `{"t":`...)
 	b = strconv.AppendInt(b, int64(e.At), 10)
 	b = append(b, `,"kind":"`...)
-	b = append(b, name...)
+	b = append(b, sc.name...)
 	b = append(b, '"')
 	if e.Flow != 0 {
 		b = append(b, `,"flow":`...)
@@ -114,47 +184,11 @@ func appendEvent(b []byte, e Event) ([]byte, error) {
 		b = append(b, `,"link":`...)
 		b = append(b, lb...)
 	}
-	appendF := func(b []byte, key string, v float64) []byte {
+	for _, f := range sc.fields {
 		b = append(b, ',', '"')
-		b = append(b, key...)
-		b = append(b, `":`...)
-		return strconv.AppendFloat(b, v, 'g', -1, 64)
-	}
-	appendI := func(b []byte, key string, v int64) []byte {
-		b = append(b, ',', '"')
-		b = append(b, key...)
-		b = append(b, `":`...)
-		return strconv.AppendInt(b, v, 10)
-	}
-	switch e.Kind {
-	case KindCwnd:
-		b = appendF(b, "cwnd", e.V0)
-		b = appendF(b, "ssthresh", e.V1)
-		b = appendI(b, "srtt_ns", e.N)
-	case KindRetransmit:
-		b = appendI(b, "seq", e.N)
-	case KindRTO:
-		b = appendI(b, "rto_ns", e.N)
-		b = appendF(b, "cwnd", e.V0)
-	case KindFastRecovery:
-		b = appendF(b, "ssthresh", e.V0)
-		b = appendF(b, "cwnd", e.V1)
-	case KindAgg:
-		b = appendF(b, "ratio", e.V0)
-		b = appendF(b, "factor", e.V1)
-	case KindQueue:
-		b = appendI(b, "bytes", e.N)
-		b = appendI(b, "pkts", e.M)
-	case KindDrop, KindECNMark:
-		b = appendI(b, "bytes", e.N)
-	case KindIterStart:
-		b = appendI(b, "iter", e.N)
-	case KindIterEnd:
-		b = appendI(b, "iter", e.N)
-		b = appendI(b, "comm_ns", e.M)
-	case KindBandwidth:
-		b = appendI(b, "bucket_ns", e.M)
-		b = appendF(b, "bytes", e.V0)
+		b = append(b, f.key...)
+		b = append(b, '"', ':')
+		b = f.slot.appendValue(b, &e)
 	}
 	return append(b, '}'), nil
 }
@@ -180,89 +214,18 @@ type Field struct {
 }
 
 // Fields decodes the event's payload union into named fields, in wire
-// order. The names and per-kind selection mirror appendEvent, so field
-// lists in diagnostic reports match the trace schema one to one.
+// order. They come from the same schema row appendEvent encodes with,
+// so field lists in diagnostic reports match the trace one to one.
 func (e Event) Fields() []Field {
-	fF := func(name string, v float64) Field {
-		return Field{name, strconv.FormatFloat(v, 'g', -1, 64)}
-	}
-	fI := func(name string, v int64) Field {
-		return Field{name, strconv.FormatInt(v, 10)}
-	}
-	switch e.Kind {
-	case KindCwnd:
-		return []Field{fF("cwnd", e.V0), fF("ssthresh", e.V1), fI("srtt_ns", e.N)}
-	case KindRetransmit:
-		return []Field{fI("seq", e.N)}
-	case KindRTO:
-		return []Field{fI("rto_ns", e.N), fF("cwnd", e.V0)}
-	case KindFastRecovery:
-		return []Field{fF("ssthresh", e.V0), fF("cwnd", e.V1)}
-	case KindAgg:
-		return []Field{fF("ratio", e.V0), fF("factor", e.V1)}
-	case KindQueue:
-		return []Field{fI("bytes", e.N), fI("pkts", e.M)}
-	case KindDrop, KindECNMark:
-		return []Field{fI("bytes", e.N)}
-	case KindIterStart:
-		return []Field{fI("iter", e.N)}
-	case KindIterEnd:
-		return []Field{fI("iter", e.N), fI("comm_ns", e.M)}
-	case KindBandwidth:
-		return []Field{fI("bucket_ns", e.M), fF("bytes", e.V0)}
-	}
-	return nil
-}
-
-// wireEvent is the decode-side union of every event kind's fields.
-type wireEvent struct {
-	T        int64   `json:"t"`
-	Kind     string  `json:"kind"`
-	Flow     int     `json:"flow"`
-	Link     string  `json:"link"`
-	Cwnd     float64 `json:"cwnd"`
-	Ssthresh float64 `json:"ssthresh"`
-	SrttNS   int64   `json:"srtt_ns"`
-	Seq      int64   `json:"seq"`
-	RTONS    int64   `json:"rto_ns"`
-	Ratio    float64 `json:"ratio"`
-	Factor   float64 `json:"factor"`
-	Bytes    float64 `json:"bytes"`
-	Pkts     int64   `json:"pkts"`
-	Iter     int64   `json:"iter"`
-	CommNS   int64   `json:"comm_ns"`
-	BucketNS int64   `json:"bucket_ns"`
-}
-
-func (w wireEvent) event() (Event, error) {
-	k, ok := kindByName[w.Kind]
+	sc, ok := e.Kind.schema()
 	if !ok {
-		return Event{}, fmt.Errorf("telemetry: unknown event kind %q", w.Kind)
+		return nil
 	}
-	e := Event{At: sim.Time(w.T), Kind: k, Flow: w.Flow, Link: w.Link}
-	switch k {
-	case KindCwnd:
-		e.V0, e.V1, e.N = w.Cwnd, w.Ssthresh, w.SrttNS
-	case KindRetransmit:
-		e.N = w.Seq
-	case KindRTO:
-		e.N, e.V0 = w.RTONS, w.Cwnd
-	case KindFastRecovery:
-		e.V0, e.V1 = w.Ssthresh, w.Cwnd
-	case KindAgg:
-		e.V0, e.V1 = w.Ratio, w.Factor
-	case KindQueue:
-		e.N, e.M = int64(w.Bytes), w.Pkts
-	case KindDrop, KindECNMark:
-		e.N = int64(w.Bytes)
-	case KindIterStart:
-		e.N = w.Iter
-	case KindIterEnd:
-		e.N, e.M = w.Iter, w.CommNS
-	case KindBandwidth:
-		e.M, e.V0 = w.BucketNS, w.Bytes
+	out := make([]Field, len(sc.fields))
+	for i, f := range sc.fields {
+		out[i] = Field{f.key, string(f.slot.appendValue(nil, &e))}
 	}
-	return e, nil
+	return out
 }
 
 // Write serializes a trace as JSONL: the manifest line (when m is
@@ -284,13 +247,17 @@ func Write(w io.Writer, m *Manifest, events []Event, reg *Registry) error {
 		bw.Write(line)
 		bw.WriteByte('\n')
 	}
-	sorted := make([]Event, len(events))
-	copy(sorted, events)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
+	// Sort a permutation, not the events: the stable sort's merges move
+	// each element many times, and an Event is 72 bytes.
+	order := make([]int, len(events))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(events[a].At, events[b].At) })
 	var buf []byte
-	for _, e := range sorted {
+	for _, i := range order {
 		var err error
-		buf, err = appendEvent(buf[:0], e)
+		buf, err = appendEvent(buf[:0], events[i])
 		if err != nil {
 			return err
 		}
@@ -320,12 +287,16 @@ type Trace struct {
 
 // Read decodes a JSONL trace written by Write. Manifest and metrics
 // lines are optional; unknown event kinds are an error (the schema is
-// versioned, not open-ended). Every malformed line — truncated mid-write,
-// corrupted on disk, or hand-edited — fails with its line number rather
-// than decoding into a garbled partial trace, and a manifest from a
-// different schema version is rejected with both versions named.
+// versioned, not open-ended). Event lines are flat JSON objects, decoded
+// without reflection (see lineDecoder); an unknown, duplicated or
+// mistyped field fails with the field's name. Every malformed line —
+// truncated mid-write, corrupted on disk, or hand-edited — fails with
+// its line number rather than decoding into a garbled partial trace, and
+// a manifest from a different schema version is rejected with both
+// versions named.
 func Read(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
+	d := newLineDecoder()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -335,39 +306,19 @@ func Read(r io.Reader) (*Trace, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("telemetry: line %d: corrupt or truncated trace line: %w", lineNo, err)
-		}
-		switch probe.Kind {
-		case "manifest":
-			m := &Manifest{}
-			if err := json.Unmarshal(line, m); err != nil {
-				return nil, fmt.Errorf("telemetry: line %d: corrupt manifest: %w", lineNo, err)
-			}
-			if m.Schema != SchemaVersion {
-				return nil, fmt.Errorf("telemetry: line %d: trace is v%d, reader supports v%d",
-					lineNo, m.Schema, SchemaVersion)
-			}
-			tr.Manifest = m
-		case "metrics":
-			s := &Snapshot{}
-			if err := json.Unmarshal(line, s); err != nil {
-				return nil, fmt.Errorf("telemetry: line %d: corrupt metrics line: %w", lineNo, err)
-			}
-			tr.Metrics = s
-		default:
-			var w wireEvent
-			if err := json.Unmarshal(line, &w); err != nil {
-				return nil, fmt.Errorf("telemetry: line %d: corrupt or truncated trace line: %w", lineNo, err)
-			}
-			e, err := w.event()
-			if err != nil {
-				return nil, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
+		e, err := d.decode(line)
+		if err == errJSONLine {
+			err = d.decodeJSONLine(tr, line)
+		} else if err == nil {
+			if len(tr.Events) == cap(tr.Events) {
+				// Double the capacity: append grows a long slice by
+				// only a quarter, copying the events ~4 times over.
+				tr.Events = slices.Grow(tr.Events, max(len(tr.Events), 512))
 			}
 			tr.Events = append(tr.Events, e)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {

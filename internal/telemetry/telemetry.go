@@ -63,32 +63,22 @@ const (
 	KindBandwidth
 )
 
-var kindNames = map[Kind]string{
-	KindCwnd:         "cwnd",
-	KindRetransmit:   "retx",
-	KindRTO:          "rto",
-	KindFastRecovery: "recovery",
-	KindAgg:          "agg",
-	KindQueue:        "queue",
-	KindDrop:         "drop",
-	KindECNMark:      "ecn",
-	KindIterStart:    "iter_start",
-	KindIterEnd:      "iter_end",
-	KindBandwidth:    "bw",
-}
-
-var kindByName = func() map[string]Kind {
-	m := make(map[string]Kind, len(kindNames))
-	for k, n := range kindNames {
-		m[n] = k
+// kindByName returns the event kind with the given wire name. A walk
+// of the eleven-row schema table beats a map lookup here, on the
+// decoder's per-line path.
+func kindByName(name []byte) (Kind, bool) {
+	for k := KindCwnd; int(k) < len(schema); k++ {
+		if schema[k].name == string(name) {
+			return k, true
+		}
 	}
-	return m
-}()
+	return 0, false
+}
 
 // String returns the kind's wire name.
 func (k Kind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
+	if sc, ok := k.schema(); ok {
+		return sc.name
 	}
 	return "unknown"
 }
@@ -155,18 +145,18 @@ type Options struct {
 // DefaultSampleEvery is the default minimum spacing of cwnd/agg events.
 const DefaultSampleEvery = 50 * sim.Millisecond
 
-type limitKey struct {
-	kind Kind
-	flow int
-}
-
 // Recorder is the typed front end components emit through. A nil
 // *Recorder is the disabled state: every method is safe to call and
 // returns immediately, so instrumented code needs no conditionals.
 type Recorder struct {
-	sink     Sink
-	every    sim.Time
-	last     map[limitKey]sim.Time
+	sink  Sink
+	every sim.Time
+	// lastCwnd and lastAgg hold each flow's last emitted sample time
+	// for the two rate-limited kinds. Keying by the bare flow ID keeps
+	// the limiter's lookup, made on every cwnd or agg emission, on the
+	// runtime's 64-bit map fast path.
+	lastCwnd map[int]sim.Time
+	lastAgg  map[int]sim.Time
 	limDrops int64
 	reg      *Registry
 	manifest *Manifest
@@ -182,10 +172,11 @@ func New(sink Sink, opts Options) *Recorder {
 		every = DefaultSampleEvery
 	}
 	return &Recorder{
-		sink:  sink,
-		every: every,
-		last:  make(map[limitKey]sim.Time),
-		reg:   opts.Registry,
+		sink:     sink,
+		every:    every,
+		lastCwnd: make(map[int]sim.Time),
+		lastAgg:  make(map[int]sim.Time),
+		reg:      opts.Registry,
 	}
 }
 
@@ -239,19 +230,19 @@ func (r *Recorder) Emit(e Event) {
 	r.sink.Emit(e)
 }
 
-// sampled reports whether a high-rate (kind, flow) emission is due, and
-// records it. The first emission of each key always passes.
-func (r *Recorder) sampled(kind Kind, flow int, at sim.Time) bool {
+// sampled reports whether a high-rate emission of flow is due, and
+// records it in last, the kind's per-flow table. The first emission of
+// each flow always passes.
+func (r *Recorder) sampled(last map[int]sim.Time, flow int, at sim.Time) bool {
 	if r.every < 0 {
 		return true
 	}
-	k := limitKey{kind, flow}
-	last, seen := r.last[k]
-	if seen && at-last < r.every {
+	prev, seen := last[flow]
+	if seen && at-prev < r.every {
 		r.limDrops++
 		return false
 	}
-	r.last[k] = at
+	last[flow] = at
 	return true
 }
 
@@ -285,7 +276,7 @@ func (r *Recorder) FlushLimiterStats() {
 
 // CwndUpdate records a congestion-window sample (rate-limited per flow).
 func (r *Recorder) CwndUpdate(at sim.Time, flow int, cwnd, ssthresh float64, srtt sim.Time) {
-	if r == nil || !r.sampled(KindCwnd, flow, at) {
+	if r == nil || !r.sampled(r.lastCwnd, flow, at) {
 		return
 	}
 	r.sink.Emit(Event{At: at, Kind: KindCwnd, Flow: flow, N: int64(srtt), V0: cwnd, V1: ssthresh})
@@ -327,7 +318,7 @@ func (r *Recorder) FastRecovery(at sim.Time, flow int, ssthresh, cwnd float64) {
 // AggEval records an MLTCP aggressiveness evaluation (rate-limited per
 // flow).
 func (r *Recorder) AggEval(at sim.Time, flow int, ratio, factor float64) {
-	if r == nil || !r.sampled(KindAgg, flow, at) {
+	if r == nil || !r.sampled(r.lastAgg, flow, at) {
 		return
 	}
 	r.sink.Emit(Event{At: at, Kind: KindAgg, Flow: flow, V0: ratio, V1: factor})

@@ -265,7 +265,7 @@ func TestKindStringCoversAllKinds(t *testing.T) {
 		if k.String() == "unknown" {
 			t.Fatalf("kind %d has no wire name", k)
 		}
-		if kindByName[k.String()] != k {
+		if named, _ := kindByName([]byte(k.String())); named != k {
 			t.Fatalf("kind %d does not round-trip through its name", k)
 		}
 	}
