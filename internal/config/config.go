@@ -227,7 +227,7 @@ func (s *Scenario) validate() error {
 			for _, r := range []string{j.SrcRack, j.DstRack} {
 				if _, ok := s.Topology.rackIndex(r); !ok {
 					return fmt.Errorf("config: job %d: unknown rack %q (valid: %s)",
-						i, r, strings.Join(s.Topology.RackNames(), ", "))
+						i, r, s.Topology.rackList())
 				}
 			}
 			if j.SrcRack == j.DstRack && s.Topology.hostsPerRack() < 2 {

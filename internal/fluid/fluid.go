@@ -419,6 +419,7 @@ func (s *Sim) wakeDueJobs() {
 // insertActive places j into the active list keeping ascending flow-id
 // order — the same order the old per-step scan over s.jobs produced.
 func (s *Sim) insertActive(j *Job) {
+	s.scratch.Reindex()
 	s.active = append(s.active, nil)
 	i := len(s.active) - 1
 	for i > 0 && s.active[i-1].flow > j.flow {
@@ -444,6 +445,7 @@ func (s *Sim) compactActive() {
 		s.active[i] = nil
 	}
 	s.active = s.active[:k]
+	s.scratch.Reindex()
 }
 
 // nextBoundary returns the interval to the next wake-up or the step limit.

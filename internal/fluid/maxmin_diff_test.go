@@ -1,13 +1,17 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mltcp/internal/core"
+	"mltcp/internal/netsim"
 	"mltcp/internal/sim"
 	"mltcp/internal/units"
+	"mltcp/internal/workload"
 )
 
 // diffRunner runs MaxMin and the reference allocator side by side over a
@@ -15,12 +19,16 @@ import (
 // life — across active-set changes and across networks of different
 // sizes — so its cached incidence index is rebuilt, reused and resized
 // exactly as in a simulation; the reference keeps its own scratch the
-// same way.
+// same way. Like Sim, the runner calls Reindex whenever the network or
+// the active set (by job identity and order) differs from the last
+// call's.
 type diffRunner struct {
-	t     testing.TB
-	sc    AllocScratch
-	ref   refScratch
-	calls int
+	t      testing.TB
+	sc     AllocScratch
+	ref    refScratch
+	calls  int
+	nw     *Network
+	active []*Job
 }
 
 // check allocates one active set with both allocators and requires the
@@ -28,6 +36,10 @@ type diffRunner struct {
 func (d *diffRunner) check(nw *Network, active []*Job) {
 	d.t.Helper()
 	d.calls++
+	if nw != d.nw || !slices.Equal(active, d.active) {
+		d.sc.Reindex()
+		d.nw, d.active = nw, slices.Clone(active)
+	}
 	want := make([]units.Rate, len(active))
 	got := make([]units.Rate, len(active))
 	for i := range got {
@@ -35,6 +47,9 @@ func (d *diffRunner) check(nw *Network, active []*Job) {
 	}
 	refAllocateNetworkInto(nw, active, want, &d.ref)
 	MaxMin{}.AllocateNetworkInto(nw, active, got, &d.sc)
+	if len(active) > 0 && !d.sc.inc.matches(active) {
+		d.t.Fatalf("call %d: the incidence index does not match the active paths", d.calls)
+	}
 	for i, j := range active {
 		if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
 			d.t.Fatalf("call %d, flow %d (%s, path %v, weight %g): rate %v (%#x), reference %v (%#x)",
@@ -48,10 +63,15 @@ func (d *diffRunner) check(nw *Network, active []*Job) {
 	}
 }
 
+// diffKinds is the number of weight kinds diffJob distinguishes; random
+// pools draw kinds below it, so the paper's F(r) is the common one.
+const diffKinds = 8
+
 // diffJob builds a communicating job whose weight is selected by kind:
-// 0 plain TCP (weight 1), 1 zero weight, 2 a constant 2, otherwise the
-// paper's F(r) = 1.75·r + 0.25, which moves with the job's delivered bytes
-// (set through setProgress), as MLTCP weights do between steps.
+// 0 plain TCP (weight 1), 1 zero weight, 2 a constant 2, 4 a constant -1,
+// 5 NaN, otherwise the paper's F(r) = 1.75·r + 0.25, which moves with the
+// job's delivered bytes (set through setProgress), as MLTCP weights do
+// between steps.
 func diffJob(name string, kind int, path []int) *Job {
 	j := netJob(name, 1, path)
 	var f core.AggFunc
@@ -62,6 +82,10 @@ func diffJob(name string, kind int, path []int) *Job {
 		f = core.Linear(0, 0)
 	case 2:
 		f = core.Linear(0, 2)
+	case 4:
+		f = core.Linear(0, -1)
+	case 5:
+		f = core.Linear(0, math.NaN())
 	default:
 		f = core.Default()
 	}
@@ -69,14 +93,35 @@ func diffJob(name string, kind int, path []int) *Job {
 	return j
 }
 
+// matches reports whether the incidence index was built for these
+// active paths, comparing them by value: every path, mapped back from
+// link positions to link ids, must equal the job's Path.
+func (ix *incidence) matches(active []*Job) bool {
+	if !ix.built || len(active)+1 != len(ix.pathOff) {
+		return false
+	}
+	for i, j := range active {
+		hops := ix.hops[ix.pathOff[i]:ix.pathOff[i+1]]
+		if len(hops) != len(j.Path) {
+			return false
+		}
+		for p, l := range j.Path {
+			if ix.links[hops[p]] != l {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // setProgress sets the fraction of the iteration's bytes delivered, which
 // is what an MLTCP weight is a function of.
 func setProgress(j *Job, frac float64) { j.attained = frac * j.TotalBytes() }
 
 // TestMaxMinIncidenceSequence walks one scratch through the active-set
-// changes the incidence index must notice, comparing every call with the
-// reference allocator bit for bit: a flow inserted and removed, a
-// same-length set with different members, zero-weight flows (alone and
+// changes that make the incidence index rebuild, comparing every call
+// with the reference allocator bit for bit: a flow inserted and removed,
+// a same-length set with different members, zero-weight flows (alone and
 // beside weighted ones), a path that crosses a link twice, the empty
 // set, and reuse on a smaller network and then a larger one again.
 func TestMaxMinIncidenceSequence(t *testing.T) {
@@ -121,10 +166,93 @@ func TestMaxMinIncidenceSequence(t *testing.T) {
 	}
 }
 
+// TestMaxMinSingletonComponents checks the single-flow closed form against
+// the reference where its bottleneck choice is delicate: fills that tie
+// along the path (one link crossed twice, or two capacities one ulp apart
+// that cap/w rounds together), zero, negative, NaN and infinite weights,
+// and uniform and non-uniform singletons beside a multi-flow component in
+// the same call.
+func TestMaxMinSingletonComponents(t *testing.T) {
+	g := units.Rate(units.Gbps)
+	c := 10 * g
+	up := units.Rate(math.Nextafter(float64(c), math.Inf(1)))
+	// A weight at which c/w and up/w round to the same fill.
+	var w float64
+	for i := 1; i < 1000 && w == 0; i++ {
+		if x := 1 + float64(i)/1000; math.Float64bits(float64(c)/x) == math.Float64bits(float64(up)/x) {
+			w = x
+		}
+	}
+	if w == 0 {
+		t.Fatal("no weight rounds c/w and nextafter(c)/w to a tie")
+	}
+	nw := NewNetwork([]units.Rate{
+		c, up, up, c, // 0-3: ulp-apart pairs
+		2 * g, g, g, 2 * g, // 4-7: a doubled crossing ties a single one
+		g, g, 2 * g, g, g, 4 * g, // 8-13: degenerate weights
+		4 * g, 4 * g, 4 * g, g, // 14-17: uniform
+		10 * g, 4 * g, 10 * g, // 18-20: one multi-flow component
+		g, g, // 21-22: a doubled crossing on equal capacities
+	}, nil)
+	all := []*Job{
+		netJob("ulp-low", w, []int{1, 0}),  // c/w ties up/w: link 0 (c) wins
+		netJob("ulp-high", w, []int{3, 2}), // the tie again: link 2 (up) wins
+		netJob("twice-low", 1, []int{4, 5, 4}),
+		netJob("twice-high", 1, []int{6, 7, 7}),
+		netJob("zero", 0, []int{8}),
+		netJob("negative", -1, []int{9, 10}),
+		netJob("nan", math.NaN(), []int{11}),
+		netJob("inf", math.Inf(1), []int{12, 13}), // both fills 0; rate Inf/Inf
+		diffJob("uniform", 3, []int{15, 16, 14}),
+		diffJob("uniform-one", 2, []int{17}),
+		diffJob("multi-a", 3, []int{18, 19}),
+		diffJob("multi-b", 0, []int{19, 20}),
+		diffJob("multi-c", 3, []int{20}),
+		diffJob("twice-equal", 3, []int{21, 22, 22}), // g/(w+w) < g/w: link 22
+	}
+	// Without multi-b, multi-a and multi-c are singletons too.
+	split := slices.Delete(slices.Clone(all), 11, 12)
+
+	d := &diffRunner{t: t}
+	for i, active := range [][]*Job{all, all, split, all} {
+		for k, j := range active {
+			setProgress(j, float64((i+k)%5)/4)
+		}
+		d.check(nw, active)
+		if i > 0 {
+			continue
+		}
+		// The first call must exercise every shape it is meant to.
+		var uniform, scanned, multi int
+		for c, nf := range d.sc.inc.compFlows {
+			switch {
+			case nf > 1:
+				multi++
+			case d.sc.inc.uniform[c]:
+				uniform++
+			default:
+				scanned++
+			}
+		}
+		if uniform != 4 || scanned != 7 || multi != 1 {
+			t.Fatalf("components: %d uniform, %d scanned singletons, %d multi-flow; want 4, 7, 1",
+				uniform, scanned, multi)
+		}
+		// The ties break toward the lower link, whichever capacity it
+		// has, and a doubled crossing can undercut a lower link.
+		for f, want := range map[int]int{0: 0, 1: 2, 2: 4, 3: 6, 13: 22} {
+			if got := d.sc.Bottleneck[f]; got != want {
+				t.Errorf("%s: bottleneck link %d, want %d", active[f].Spec.Label(), got, want)
+			}
+		}
+	}
+}
+
 // TestMaxMinMatchesReference drives MaxMin and the reference over random
 // fabrics and random sequences of active sets: flows join and leave,
-// members are swapped at a constant set size, weights move every call,
-// paths may repeat a link, capacities tie, and each sequence hops to a
+// members are swapped at a constant set size, weights move every call
+// (and may be zero, negative or NaN), paths may repeat a link,
+// capacities tie or sit one ulp apart, and each sequence hops to a
 // smaller network and back onto the same scratch.
 func TestMaxMinMatchesReference(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
@@ -156,14 +284,21 @@ func TestMaxMinMatchesReference(t *testing.T) {
 	}
 }
 
-// randomDiffFabric draws a network of nl links, with capacities from a
-// small set so that ties between candidate bottlenecks are common, and a
-// pool of jobs over it whose paths may cross a link more than once.
+// diffCaps are the capacities the random fabrics draw from: few, so that
+// ties between candidate bottlenecks are common, and two of them one ulp
+// apart, so that cap/w can round to a tie between different capacities.
+var diffCaps = []units.Rate{
+	1 * units.Gbps, 2 * units.Gbps, 4 * units.Gbps, 10 * units.Gbps,
+	units.Rate(math.Nextafter(float64(10*units.Gbps), math.Inf(1))),
+}
+
+// randomDiffFabric draws a network of nl links, with capacities from
+// diffCaps, and a pool of jobs over it whose paths may cross a link more
+// than once.
 func randomDiffFabric(rng *sim.RNG, nl int) (*Network, []*Job) {
-	levels := []float64{1, 2, 4, 10}
 	caps := make([]units.Rate, nl)
 	for l := range caps {
-		caps[l] = units.Rate(levels[rng.Intn(len(levels))] * float64(units.Gbps))
+		caps[l] = diffCaps[rng.Intn(len(diffCaps))]
 	}
 	pool := make([]*Job, 2+rng.Intn(14))
 	for i := range pool {
@@ -171,7 +306,7 @@ func randomDiffFabric(rng *sim.RNG, nl int) (*Network, []*Job) {
 		for p := range path {
 			path[p] = rng.Intn(nl) // with replacement: repeats cross a link twice
 		}
-		pool[i] = diffJob("p", rng.Intn(5), path)
+		pool[i] = diffJob("p", rng.Intn(diffKinds), path)
 	}
 	return NewNetwork(caps, nil), pool
 }
@@ -187,6 +322,21 @@ func FuzzMaxMinMatchesReference(f *testing.F) {
 	f.Add([]byte{11, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 7, 4, 3, 0, 4, 8, 2, 5, 9, 1, 3,
 		1, 7, 10, 3, 2, 2, 2, 1, 6, 6, 0, 2, 0, 9, 0, 4, 0x7f, 10, 20, 30, 40, 50, 60, 70,
 		0x3c, 5, 5, 5, 5, 5, 5, 5, 2, 4, 9, 1, 3, 0xaa, 1, 2, 3, 0x55, 4, 5, 6})
+	// Single-flow components: a link crossed twice whose fill ties a
+	// single crossing's, in both orders, beside a uniform singleton.
+	f.Add([]byte{5, 1, 0, 0, 1, 2, 2, 2, 2, 0, 0, 1, 0, 2, 2, 3, 3, 2, 1, 4, 5, 3,
+		2, 0x07, 10, 20, 30, 0x07, 40, 50, 60, 0x05, 70, 80})
+	// Capacities one ulp apart on singleton paths, in both orders, under
+	// a weight that moves every step, so cap/w sometimes rounds to a tie.
+	f.Add([]byte{3, 3, 4, 4, 3, 1, 1, 1, 0, 3, 1, 3, 2, 3, 11,
+		0x03, 0, 255, 0x03, 1, 254, 0x03, 7, 100, 0x03, 13, 200, 0x03, 29, 31,
+		0x03, 64, 128, 0x03, 77, 91, 0x03, 101, 5, 0x03, 127, 3, 0x03, 150, 60,
+		0x03, 199, 17, 0x03, 250, 45})
+	// Zero, negative and NaN weights on singletons beside a multi-flow
+	// component that itself carries a NaN weight.
+	f.Add([]byte{7, 0, 0, 1, 0, 2, 3, 2, 3, 5, 0, 0, 1, 1, 1, 2, 4, 0, 3, 5,
+		1, 4, 5, 3, 1, 5, 6, 0, 1, 6, 7, 5, 2,
+		0x3f, 1, 2, 3, 4, 5, 6, 0x1b, 7, 8, 9, 10, 0x37, 11, 12, 13, 14, 15})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -196,12 +346,11 @@ func FuzzMaxMinMatchesReference(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
-		levels := []float64{1, 2, 4, 10}
 		d := &diffRunner{t: t}
 		for fabric := 0; fabric < 3 && len(data) > 0; fabric++ {
 			caps := make([]units.Rate, 1+next()%12)
 			for l := range caps {
-				caps[l] = units.Rate(levels[next()%len(levels)] * float64(units.Gbps))
+				caps[l] = diffCaps[next()%len(diffCaps)]
 			}
 			nw := NewNetwork(caps, nil)
 			pool := make([]*Job, 1+next()%8)
@@ -210,7 +359,7 @@ func FuzzMaxMinMatchesReference(f *testing.F) {
 				for p := range path {
 					path[p] = next() % len(caps)
 				}
-				pool[i] = diffJob("f", next()%5, path)
+				pool[i] = diffJob("f", next()%diffKinds, path)
 			}
 			for steps := 1 + next()%12; steps > 0; steps-- {
 				mask := next()
@@ -256,10 +405,70 @@ func TestMaxMinReservedScratchAllocatesNothing(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, active := range sets {
+		sc.Reindex()
 		MaxMin{}.AllocateNetworkInto(nw, active, rates[:len(active)], &sc)
 	}
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Fatalf("AllocateNetworkInto on a reserved scratch: %d allocations over %d index rebuilds, want 0", n, len(sets))
+	}
+}
+
+// TestSimReindexContract pins the invalidation contract on a churny
+// fabric run: a k=8 fat-tree with 48 jobs arriving as a Poisson process
+// and leaving after a few iterations, the fabric benchmark's shape.
+// After every 1ms step the cached incidence index, unless marked stale,
+// must be the index of the current active paths, compared by value. A
+// Sim that changes its active set without calling Reindex fails here,
+// not as a silently wrong rate.
+func TestSimReindexContract(t *testing.T) {
+	fab := netsim.NewFatTree(8, 100*units.Gbps, 100*units.Gbps)
+	caps := make([]units.Rate, len(fab.Links()))
+	for l, lk := range fab.Links() {
+		caps[l] = lk.Capacity
+	}
+	rng := sim.NewRNG(7)
+	arrivals := workload.NewPoissonArrivals(16, rng)
+	profiles := workload.Profiles()
+	names := workload.Names()
+	hosts := fab.Hosts()
+	agg := core.Default()
+	var at sim.Time
+	jobs := make([]*Job, 48)
+	for i := range jobs {
+		at += arrivals.Next()
+		src := hosts[rng.Intn(len(hosts))]
+		dst := hosts[rng.Intn(len(hosts)-1)]
+		if dst == src {
+			dst = hosts[len(hosts)-1]
+		}
+		jobs[i] = &Job{
+			Spec: workload.Spec{
+				Name:        fmt.Sprintf("j%02d", i),
+				Profile:     profiles[names[i%len(names)]],
+				StartOffset: at,
+				Seed:        uint64(i + 1),
+			},
+			Agg:           &agg,
+			MaxIterations: 1 + rng.Intn(15),
+			Path:          fab.Path(src, dst, rng.Uint64()),
+		}
+	}
+	s := New(Config{Network: NewNetwork(caps, nil), Policy: MaxMin{}}, jobs)
+	checked, sizes := 0, map[int]bool{}
+	for s.Now() < 10*sim.Second {
+		s.Run(s.Now() + sim.Millisecond)
+		if !s.scratch.inc.built {
+			continue
+		}
+		if !s.scratch.inc.matches(s.active) {
+			t.Fatalf("at %v: the incidence index is not the index of the %d active paths", s.Now(), len(s.active))
+		}
+		checked++
+		sizes[len(s.active)] = true
+	}
+	// The run must have churned: many checked steps over many set sizes.
+	if checked < 1000 || len(sizes) < 8 {
+		t.Fatalf("%d checked steps over %d active-set sizes; the run did not churn", checked, len(sizes))
 	}
 }

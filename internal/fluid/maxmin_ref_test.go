@@ -11,7 +11,7 @@ type refScratch struct {
 	frozen     []bool
 	weights    []float64
 	bottleneck []int
-	cands      []int // last call's candidate links (the stale wsum entries)
+	cands      []int
 }
 
 // refAllocateNetworkInto is the candidate-link progressive filling the
@@ -48,10 +48,10 @@ func refAllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate, sc *
 	load, wsum, done := sc.load, sc.wsum, sc.done
 	frozen, weights := sc.frozen, sc.weights
 
-	wfull := sc.wsum[:cap(sc.wsum)]
-	for _, l := range sc.cands {
-		wfull[l] = 0
-	}
+	// Every weight sum starts from zero. (Clearing only the last call's
+	// candidates would leave the sums that negative or NaN weights build
+	// up on non-candidate links to leak into the next call.)
+	clear(wsum)
 	sc.cands = sc.cands[:0]
 	for i, j := range active {
 		if len(j.Path) == 0 {
