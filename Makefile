@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint vet-lint diff bench bench-baseline corpus train profile clean
+.PHONY: build test race lint vet-lint diff bench corpus train profile clean
 
 build:
 	$(GO) build ./...
@@ -37,15 +37,14 @@ bin/mltcp-lint: $(wildcard internal/lint/*.go) $(wildcard cmd/mltcp-lint/*.go) g
 diff:
 	$(GO) run ./cmd/mltcp-diff $(A) $(B)
 
-# Run the pinned benchmark suite and gate against the checked-in
-# baseline (fail past 20% regression, warn past 10%).
+# Paired performance gate against a base revision (default: the parent
+# commit): builds perfbench at BASE and at the working tree, runs 5
+# alternating pairs per workload, and fails past any BENCHMARK.json
+# bound. Raw result lines land in .perfgate/.
+#   make bench BASE=origin/main
+BASE ?= HEAD~1
 bench:
-	$(GO) run ./cmd/mltcp-bench -out BENCH.json
-	$(GO) run ./cmd/mltcp-bench compare -gate 0.20 -warn 0.10 bench/baseline.json BENCH.json
-
-# Regenerate the baseline after a deliberate performance change.
-bench-baseline:
-	$(GO) run ./cmd/mltcp-bench -out bench/baseline.json
+	bash .github/scripts/perfgate.sh $(BASE)
 
 # Learned-backend pipeline (docs/EXTENDING.md §11). `make corpus` fans
 # the training grid over the harness; GRID=quick generates the CI-sized
@@ -60,15 +59,14 @@ train:
 	$(GO) run ./cmd/mltcp-train -corpus corpus-$(GRID).jsonl -seed 1 \
 		-out internal/learn/models/default.json -maxerr 0.10
 
-# Profile the quick suite: CPU + heap profiles under profiles/, ready
-# for `go tool pprof profiles/cpu.pprof`. Profiling perturbs wall time
-# but never simulation state (see internal/obs/pprof.go), so the run's
-# traces match an unprofiled run's. See docs/EXTENDING.md §10.
+# CPU + heap profiles of TestExactFigures (every golden scenario at every
+# tier) under profiles/, ready for `go tool pprof profiles/cpu.pprof`.
+# See docs/EXTENDING.md §10.
 profile:
 	mkdir -p profiles
-	$(GO) run ./cmd/mltcp-bench -quick -out profiles/BENCH.json \
-		-cpuprofile profiles/cpu.pprof -memprofile profiles/heap.pprof
+	$(GO) test -run '^TestExactFigures$$' -count=1 -o profiles/backend.test \
+		-cpuprofile profiles/cpu.pprof -memprofile profiles/heap.pprof ./internal/backend
 	@echo "profiles written: go tool pprof profiles/cpu.pprof"
 
 clean:
-	rm -rf bin BENCH.json profiles
+	rm -rf bin profiles .perfgate

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"strings"
 	"testing"
 
 	"mltcp/internal/backend"
+	"mltcp/internal/obs"
 	"mltcp/internal/telemetry"
 )
 
@@ -87,26 +89,43 @@ func TestRunExplainMode(t *testing.T) {
 	}
 }
 
-// TestWriteProm pins the -prom rendering: the trace's counters surface as
-// sanitized *_total families and the output ends with a newline.
+// TestWriteProm pins the -prom rendering over a real run's trace: every
+// line is valid exposition syntax (obs.ValidatePromText), counters
+// surface as sanitized *_total families, and gauges and histograms as
+// their own families. No backend sets a gauge today, so the test sets
+// one on the run's registry before the trace is written.
 func TestWriteProm(t *testing.T) {
-	path, _ := writeTestTrace(t)
-	tr := readTestTrace(t, path)
+	rec, buf, reg := telemetry.NewBuffered(telemetry.Options{})
+	if _, err := (&backend.Fluid{}).Run(telemetry.WithRecorder(context.Background(), rec), tracedScenario(), 1); err != nil {
+		t.Fatal(err)
+	}
+	reg.Gauge("test.queue-depth").Set(2.5)
+	var enc bytes.Buffer
+	if err := telemetry.Write(&enc, rec.Manifest(), buf.Events(), reg); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := telemetry.Read(&enc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
 	if err := writeProm(&out, tr); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
+	if err := obs.ValidatePromText(text); err != nil {
+		t.Fatalf("%v in:\n%s", err, text)
+	}
 	for _, want := range []string{
-		"# TYPE mltcp_trace_job_iterations_total counter",
-		"mltcp_trace_job_iterations_total ",
+		"# TYPE mltcp_trace_job_iterations_total counter\n",
+		"# TYPE mltcp_trace_test_queue_depth gauge\nmltcp_trace_test_queue_depth 2.5\n",
+		"# TYPE mltcp_trace_job_comm_seconds histogram\n",
+		`mltcp_trace_job_comm_seconds_bucket{le="+Inf"} `,
+		"mltcp_trace_job_comm_seconds_count ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("prom output missing %q:\n%s", want, text)
 		}
-	}
-	if !strings.HasSuffix(text, "\n") {
-		t.Fatal("prom output does not end with a newline")
 	}
 
 	// A metrics-less (predicted) trace renders as empty exposition, not

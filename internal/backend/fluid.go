@@ -94,9 +94,8 @@ func (b *Fluid) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*Re
 	fsim := fluid.New(fcfg, jobs)
 
 	// Integrate in chunks so a cancelled context (harness point timeout,
-	// ^C) aborts a long horizon promptly. The obs span is out-of-band:
-	// heartbeats sample the heap, never the solver (the fluid backend has
-	// no event heap, hence depth 0).
+	// ^C) aborts a long horizon promptly. The obs span is out-of-band: it
+	// reads the solver's step count, never steers it.
 	span := obs.FromContext(ctx).StartRun(b.Name())
 	horizon := s.Duration()
 	const chunks = 16
@@ -105,7 +104,6 @@ func (b *Fluid) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*Re
 			return nil, fmt.Errorf("backend: fluid run aborted: %w", err)
 		}
 		fsim.Run(horizon * c / chunks)
-		span.Heartbeat(0)
 	}
 	span.Finish(fsim.Steps(), horizon)
 	fsim.EmitTrace(rec)

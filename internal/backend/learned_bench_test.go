@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mltcp/internal/config"
-	"mltcp/internal/obs"
 )
 
 func learnedBenchScenario() *config.Scenario {
@@ -26,26 +25,6 @@ func BenchmarkLearnedCanonical(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lb.Run(context.Background(), scn, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLearnedCanonicalObs is the same run as mltcp-bench measures
-// it: under an obs collector, so the span bookkeeping (two ReadMem
-// snapshots) is part of the figure. Keeping this close to the raw
-// benchmark above is what keeps the bench suite's learned speedup honest.
-func BenchmarkLearnedCanonicalObs(b *testing.B) {
-	scn := learnedBenchScenario()
-	lb := &Learned{}
-	ctx := obs.WithCollector(context.Background(), obs.NewCollector())
-	if _, err := lb.Run(ctx, scn, 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lb.Run(ctx, scn, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

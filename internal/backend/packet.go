@@ -212,8 +212,6 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 	if bwMon != nil {
 		bwMon.EmitTo(rec)
 	}
-	lst := net.AggregateStats()
-	span.AddLinkTotals(lst.PacketsSent, lst.PacketsDropped, lst.BytesSent)
 	span.Finish(eng.Fired(), horizon)
 
 	res := &Result{

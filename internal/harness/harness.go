@@ -105,7 +105,6 @@ func Run[T any](ctx context.Context, cfg Config, n int, fn Scenario[T]) []Result
 	if workers > n {
 		workers = n
 	}
-	sweep := obs.FromContext(ctx).StartSweep(n, workers)
 
 	// Feed indices through a channel: workers pull the next point as they
 	// free up, so an expensive point does not stall the rest of the grid.
@@ -137,12 +136,10 @@ func Run[T any](ctx context.Context, cfg Config, n int, fn Scenario[T]) []Result
 				// Writes are disjoint: worker goroutines only ever touch
 				// results[i] for indices they pulled from the channel.
 				results[i] = runPoint(ctx, cfg, i, fn)
-				sweep.RecordPoint(i, results[i].Elapsed)
 			}
 		}()
 	}
 	wg.Wait()
-	sweep.Finish()
 	return results
 }
 

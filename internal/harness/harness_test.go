@@ -206,3 +206,16 @@ func TestDefaultWorkersIsGOMAXPROCS(t *testing.T) {
 		t.Fatalf("negative workers resolved to %d", w)
 	}
 }
+
+// TestRunWithoutCollectorStillTimes checks that Result.Elapsed is filled
+// on a plain context.
+func TestRunWithoutCollectorStillTimes(t *testing.T) {
+	results := Run(context.Background(), Config{Workers: 1}, 1,
+		func(ctx context.Context, pt Point) (int, error) {
+			time.Sleep(time.Millisecond)
+			return 0, nil
+		})
+	if results[0].Elapsed <= 0 {
+		t.Fatalf("Elapsed = %v without a collector", results[0].Elapsed)
+	}
+}

@@ -7,7 +7,7 @@ package netsim
 //
 // It is deliberately not a sync.Pool: the simulator is single-threaded
 // per engine, and sync.Pool's GC-driven eviction would make allocation
-// counts (which the benchmark suite gates on) nondeterministic.
+// counts (which TestExactFigures pins) nondeterministic.
 //
 // A nil *PacketPool is valid and falls back to plain allocation with no
 // recycling — standalone component tests that wire links by hand keep

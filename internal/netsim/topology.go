@@ -49,28 +49,6 @@ type Dumbbell struct {
 	// carries ACKs back.
 	Forward *Link
 	Reverse *Link
-
-	// links holds every link in the topology, in construction order, so
-	// aggregate counters can be read without re-walking the wiring.
-	links []*Link
-}
-
-// Links returns every link in the topology, in construction order.
-func (d *Dumbbell) Links() []*Link { return d.links }
-
-// AggregateStats sums the cumulative counters of every link in the
-// topology — the whole-fabric packet and byte totals the self-metrics
-// layer reports per run.
-func (d *Dumbbell) AggregateStats() LinkStats {
-	var total LinkStats
-	for _, l := range d.links {
-		st := l.Stats()
-		total.PacketsSent += st.PacketsSent
-		total.PacketsDropped += st.PacketsDropped
-		total.PacketsLost += st.PacketsLost
-		total.BytesSent += st.BytesSent
-	}
-	return total
 }
 
 // NewDumbbell builds the topology and all routing state.
@@ -91,7 +69,7 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	pool := NewPacketPool()
 	nextID := NodeID(0)
 	id := func() NodeID { nextID++; return nextID - 1 }
-	track := func(l *Link) *Link { l.SetPool(pool); d.links = append(d.links, l); return l }
+	track := func(l *Link) *Link { l.SetPool(pool); return l }
 
 	d.LeftSwitch = NewSwitch(id(), "sw-left")
 	d.RightSwitch = NewSwitch(id(), "sw-right")

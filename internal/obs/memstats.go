@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"runtime"
-	"runtime/metrics"
-)
+import "runtime"
 
 // MemSnapshot is a point-in-time view of the process allocator. Two
 // snapshots bracket a measured region; their difference is the region's
@@ -13,79 +10,18 @@ type MemSnapshot struct {
 	TotalAllocBytes uint64
 	// Mallocs is the cumulative count of heap objects allocated.
 	Mallocs uint64
-	// HeapAllocBytes is the bytes of live (reachable + not-yet-swept)
-	// heap objects at the snapshot instant.
-	HeapAllocBytes uint64
-	// GCCycles is the number of completed GC cycles.
-	GCCycles uint32
 }
 
 // ReadMem takes an exact memory snapshot with runtime.ReadMemStats. It
 // stops the world briefly, which flushes every P's allocation cache —
 // that is what makes the counters exact, and also what makes it too
-// expensive to call inside a measured region. mltcp-bench brackets its
-// timed reps with this (outside the stopwatch window), so the gated
-// allocs-per-op figures count every object.
+// expensive to call inside a timed region: bracket the region with it,
+// outside the stopwatch window.
 func ReadMem() MemSnapshot {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return MemSnapshot{
 		TotalAllocBytes: ms.TotalAlloc,
 		Mallocs:         ms.Mallocs,
-		HeapAllocBytes:  ms.HeapAlloc,
-		GCCycles:        ms.NumGC,
 	}
-}
-
-// memSamples are the runtime/metrics counters backing readMemFast,
-// matching ReadMem's TotalAlloc/Mallocs/HeapAlloc/NumGC fields. The
-// order is fixed; readMemFast indexes into a copy of this template.
-var memSamples = [...]metrics.Sample{
-	{Name: "/gc/heap/allocs:bytes"},
-	{Name: "/gc/heap/allocs:objects"},
-	{Name: "/memory/classes/heap/objects:bytes"},
-	{Name: "/gc/cycles/total:gc-cycles"},
-}
-
-// readMemFast takes a snapshot via runtime/metrics: no stop-the-world,
-// well under a microsecond — cheap enough for RunSpan to call inside the
-// measured window without distorting a microsecond-scale run (the
-// learned backend). The price is lazy small-object accounting: counts
-// parked in per-P allocation caches are missed until their span turns
-// over, so deltas over tiny regions under-report. Span alloc stats are
-// informational; anything gated reads ReadMem instead. The caller owns
-// the sample scratch (it would otherwise escape into metrics.Read and
-// cost an allocation inside the measured window).
-func readMemFast(s *[len(memSamples)]metrics.Sample) MemSnapshot {
-	copy(s[:], memSamples[:])
-	metrics.Read(s[:])
-	u := func(i int) uint64 {
-		if s[i].Value.Kind() != metrics.KindUint64 {
-			return 0
-		}
-		return s[i].Value.Uint64()
-	}
-	return MemSnapshot{
-		TotalAllocBytes: u(0),
-		Mallocs:         u(1),
-		HeapAllocBytes:  u(2),
-		GCCycles:        uint32(u(3)),
-	}
-}
-
-// liveHeapSample is the runtime/metrics gauge used for cheap mid-run peak
-// tracking: bytes of live heap objects. Unlike ReadMemStats it does not
-// stop the world, so run spans can sample it at every chunk boundary.
-var liveHeapSample = []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-
-// LiveHeapBytes reads the live-heap gauge from runtime/metrics (0 when the
-// runtime does not export it).
-func LiveHeapBytes() uint64 {
-	s := make([]metrics.Sample, 1)
-	copy(s, liveHeapSample)
-	metrics.Read(s)
-	if s[0].Value.Kind() != metrics.KindUint64 {
-		return 0
-	}
-	return s[0].Value.Uint64()
 }

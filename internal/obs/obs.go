@@ -1,8 +1,8 @@
 // Package obs is the simulator's runtime self-metrics layer: where
 // internal/telemetry observes the simulated system (cwnd, drops,
-// iteration boundaries), obs observes the simulator itself — event-loop
-// throughput, sim-time/wall-time ratio, event-heap depth, allocation
-// cost, harness worker utilization, and per-sweep-point wall times.
+// iteration boundaries), obs observes the simulator itself — the
+// scheduler work a run did and how deep its event heap grew — and owns
+// the repository's one wall-clock read and its exact allocation counter.
 //
 // The design contract is that obs is strictly out-of-band: nothing here
 // feeds back into a simulation. Collectors never touch the engine clock,
@@ -15,115 +15,45 @@
 // Collectors travel by context (WithCollector/FromContext), mirroring the
 // telemetry seam, and every span method is safe on a nil receiver so
 // instrumented code needs no conditionals. Unlike a telemetry Recorder —
-// owned by one run, one goroutine — a Collector aggregates across a
+// owned by one run, one goroutine — a Collector may be shared by a
 // harness worker pool, so its mutations are mutex-guarded.
 package obs
 
 import (
 	"context"
-	"runtime/metrics"
 	"sync"
-	"time"
 
 	"mltcp/internal/sim"
 )
 
-// RunStats describes one backend run, measured from the outside.
+// RunStats describes one backend run, measured from the outside. Every
+// field is a deterministic function of (scenario, seed).
 type RunStats struct {
-	// Backend is the fidelity that produced the run ("fluid", "packet").
+	// Backend is the fidelity that produced the run ("fluid", "packet",
+	// "learned").
 	Backend string
 	// SimDuration is the simulated horizon the run covered.
 	SimDuration sim.Time
-	// Wall is the run's wall-clock time.
-	Wall time.Duration
 	// Events counts the run's scheduler work: discrete events fired for
-	// the packet engine, integration steps for the fluid solver.
+	// the packet engine, integration steps for the fluid solver, head
+	// evaluations for the learned tier.
 	Events uint64
 	// MaxHeapDepth is the largest pending-event count observed on the
-	// engine's event heap (0 for the heap-less fluid backend).
+	// engine's event heap (0 for the heap-less fluid and learned tiers).
 	MaxHeapDepth int
-	// PeakHeapBytes is the largest live-heap size sampled during the run.
-	PeakHeapBytes uint64
-	// AllocBytes and Allocs are the run's heap allocation deltas. Under a
-	// concurrent sweep these are process-wide and therefore approximate;
-	// benchmark reps run serially to keep them attributable.
-	AllocBytes uint64
-	Allocs     uint64
-	// GCCycles is the number of GC cycles completed during the run.
-	GCCycles uint32
-	// PacketsSent, PacketsDropped, and BytesSent aggregate every link's
-	// cumulative counters (packet backend only).
-	PacketsSent    int64
-	PacketsDropped int64
-	BytesSent      int64
 }
 
-// EventsPerSec returns the run's event-loop throughput (0 for an
-// unmeasured or zero-length run).
-func (s RunStats) EventsPerSec() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	return float64(s.Events) / s.Wall.Seconds()
-}
-
-// SimWallRatio returns simulated seconds advanced per wall second — the
-// "how much faster than real time" factor (0 for an unmeasured run).
-func (s RunStats) SimWallRatio() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	return s.SimDuration.Seconds() / s.Wall.Seconds()
-}
-
-// SweepStats describes one harness sweep: how long the grid took, how its
-// points were distributed, and how busy the workers were.
-type SweepStats struct {
-	// Points is the grid size; Workers the pool size actually used.
-	Points  int
-	Workers int
-	// Wall is the whole sweep's wall-clock time.
-	Wall time.Duration
-	// PointWall[i] is point i's wall-clock run time (zero for points
-	// skipped by cancellation).
-	PointWall []time.Duration
-}
-
-// BusyTime returns the summed per-point wall time — the work the pool
-// actually executed.
-func (s SweepStats) BusyTime() time.Duration {
-	var total time.Duration
-	for _, d := range s.PointWall {
-		total += d
-	}
-	return total
-}
-
-// Utilization returns the fraction of the pool's capacity (Workers ×
-// Wall) spent inside scenario points, in [0, ~1]. Low utilization on a
-// saturated grid means harness overhead or a straggler point.
-func (s SweepStats) Utilization() float64 {
-	if s.Wall <= 0 || s.Workers <= 0 {
-		return 0
-	}
-	return s.BusyTime().Seconds() / (float64(s.Workers) * s.Wall.Seconds())
-}
-
-// Collector accumulates self-metrics across runs and sweeps. A nil
-// *Collector is the disabled state: every method (and every method of the
-// spans it hands out) is a near-free no-op, so instrumented paths cost
-// one nil check when observation is off.
+// Collector accumulates RunStats across runs. A nil *Collector is the
+// disabled state: every method (and every method of the spans it hands
+// out) is a no-op, so instrumented paths cost one nil check when
+// observation is off.
 type Collector struct {
-	mu     sync.Mutex
-	runs   []RunStats
-	sweeps []SweepStats
+	mu   sync.Mutex
+	runs []RunStats
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
-
-// Enabled reports whether self-metrics are being collected.
-func (c *Collector) Enabled() bool { return c != nil }
 
 // Runs returns a copy of the collected run stats, in completion order.
 func (c *Collector) Runs() []RunStats {
@@ -137,46 +67,25 @@ func (c *Collector) Runs() []RunStats {
 	return out
 }
 
-// Sweeps returns a copy of the collected sweep stats, in completion order.
-func (c *Collector) Sweeps() []SweepStats {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]SweepStats, len(c.sweeps))
-	copy(out, c.sweeps)
-	return out
-}
-
 // RunSpan measures one backend run in flight. Obtain one from StartRun;
 // all methods are nil-safe.
 type RunSpan struct {
-	c      *Collector
-	stats  RunStats
-	sw     Stopwatch
-	before MemSnapshot
-	samp   [len(memSamples)]metrics.Sample // readMemFast scratch
+	c     *Collector
+	stats RunStats
 }
 
 // StartRun opens a measurement span for one backend run (nil collector →
-// nil span, every span method a no-op). Span memory deltas come from
-// readMemFast — cheap enough to sit inside a caller's timed window, at
-// the cost of lazily-accounted small-object counts (see memstats.go);
-// the RunStats alloc fields are informational, never gated.
+// nil span, every span method a no-op).
 func (c *Collector) StartRun(backendName string) *RunSpan {
 	if c == nil {
 		return nil
 	}
-	s := &RunSpan{c: c, stats: RunStats{Backend: backendName}}
-	s.before = readMemFast(&s.samp)
-	s.sw = StartTimer()
-	return s
+	return &RunSpan{c: c, stats: RunStats{Backend: backendName}}
 }
 
-// Heartbeat samples mid-run state; backends call it at integration-chunk
-// boundaries. pendingEvents is the engine's current event-heap depth
-// (pass 0 for heap-less backends).
+// Heartbeat samples mid-run state; the packet backend calls it at
+// integration-chunk boundaries with the engine's current event-heap
+// depth.
 func (s *RunSpan) Heartbeat(pendingEvents int) {
 	if s == nil {
 		return
@@ -184,98 +93,28 @@ func (s *RunSpan) Heartbeat(pendingEvents int) {
 	if pendingEvents > s.stats.MaxHeapDepth {
 		s.stats.MaxHeapDepth = pendingEvents
 	}
-	if h := LiveHeapBytes(); h > s.stats.PeakHeapBytes {
-		s.stats.PeakHeapBytes = h
-	}
-}
-
-// AddLinkTotals records the topology's aggregate link counters.
-func (s *RunSpan) AddLinkTotals(packetsSent, packetsDropped, bytesSent int64) {
-	if s == nil {
-		return
-	}
-	s.stats.PacketsSent += packetsSent
-	s.stats.PacketsDropped += packetsDropped
-	s.stats.BytesSent += bytesSent
 }
 
 // Finish closes the span: events is the run's total scheduler work
-// (engine events fired / fluid steps), simDur the simulated horizon
-// covered. The completed RunStats is appended to the collector.
+// (engine events fired / fluid steps / head evaluations), simDur the
+// simulated horizon covered. The completed RunStats is appended to the
+// collector.
 func (s *RunSpan) Finish(events uint64, simDur sim.Time) {
 	if s == nil {
 		return
 	}
-	s.stats.Wall = s.sw.Elapsed()
 	s.stats.Events = events
 	s.stats.SimDuration = simDur
-	after := readMemFast(&s.samp)
-	s.stats.AllocBytes = after.TotalAllocBytes - s.before.TotalAllocBytes
-	s.stats.Allocs = after.Mallocs - s.before.Mallocs
-	s.stats.GCCycles = after.GCCycles - s.before.GCCycles
-	if after.HeapAllocBytes > s.stats.PeakHeapBytes {
-		s.stats.PeakHeapBytes = after.HeapAllocBytes
-	}
 	s.c.mu.Lock()
 	s.c.runs = append(s.c.runs, s.stats)
-	s.c.mu.Unlock()
-}
-
-// SweepSpan measures one harness sweep in flight. Point recordings may
-// arrive from any worker goroutine; the span serializes them.
-type SweepSpan struct {
-	c     *Collector
-	mu    sync.Mutex
-	stats SweepStats
-	sw    Stopwatch
-}
-
-// StartSweep opens a measurement span for an n-point sweep on a
-// workers-sized pool (nil collector → nil span).
-func (c *Collector) StartSweep(points, workers int) *SweepSpan {
-	if c == nil {
-		return nil
-	}
-	return &SweepSpan{
-		c:     c,
-		stats: SweepStats{Points: points, Workers: workers, PointWall: make([]time.Duration, points)},
-		sw:    StartTimer(),
-	}
-}
-
-// RecordPoint records point i's wall-clock run time. Safe to call
-// concurrently from worker goroutines.
-func (s *SweepSpan) RecordPoint(i int, wall time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if i >= 0 && i < len(s.stats.PointWall) {
-		s.stats.PointWall[i] = wall
-	}
-	s.mu.Unlock()
-}
-
-// Finish closes the span and appends the SweepStats to the collector.
-// Call it only after every worker has stopped recording.
-func (s *SweepSpan) Finish() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.stats.Wall = s.sw.Elapsed()
-	stats := s.stats
-	s.mu.Unlock()
-	s.c.mu.Lock()
-	s.c.sweeps = append(s.c.sweeps, stats)
 	s.c.mu.Unlock()
 }
 
 type ctxKey struct{}
 
 // WithCollector returns a context carrying the collector — the seam
-// through which backends and the harness receive the self-metrics layer
-// without changing their interfaces (mirroring telemetry.WithRecorder).
+// through which backends receive the self-metrics layer without changing
+// their interfaces (mirroring telemetry.WithRecorder).
 func WithCollector(ctx context.Context, c *Collector) context.Context {
 	return context.WithValue(ctx, ctxKey{}, c)
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"regexp"
 	"strconv"
 	"strings"
 )
@@ -144,143 +144,45 @@ func SanitizePromName(name string) string {
 	return sb.String()
 }
 
-// runAggregate sums one backend's RunStats for exposition.
-type runAggregate struct {
-	runs           int64
-	events         uint64
-	wallSeconds    float64
-	simSeconds     float64
-	allocs         uint64
-	allocBytes     uint64
-	packetsSent    int64
-	packetsDropped int64
-	bytesSent      int64
-	peakHeapBytes  uint64
-	maxHeapDepth   int
-}
-
-// WritePromText renders collector snapshots and bench history as one
-// Prometheus text-format exposition: per-backend run aggregates, sweep
-// totals, and every bench point's comparison metrics. Any argument may
-// be empty/nil; its families are omitted. Output is byte-deterministic
-// for fixed inputs.
-func WritePromText(w io.Writer, runs []RunStats, sweeps []SweepStats, bench *BenchFile) error {
-	p := &PromWriter{}
-
-	if len(runs) > 0 {
-		agg := make(map[string]*runAggregate)
-		for _, r := range runs {
-			a, ok := agg[r.Backend]
-			if !ok {
-				a = &runAggregate{}
-				agg[r.Backend] = a
-			}
-			a.runs++
-			a.events += r.Events
-			a.wallSeconds += r.Wall.Seconds()
-			a.simSeconds += r.SimDuration.Seconds()
-			a.allocs += r.Allocs
-			a.allocBytes += r.AllocBytes
-			a.packetsSent += r.PacketsSent
-			a.packetsDropped += r.PacketsDropped
-			a.bytesSent += r.BytesSent
-			if r.PeakHeapBytes > a.peakHeapBytes {
-				a.peakHeapBytes = r.PeakHeapBytes
-			}
-			if r.MaxHeapDepth > a.maxHeapDepth {
-				a.maxHeapDepth = r.MaxHeapDepth
-			}
-		}
-		backends := make([]string, 0, len(agg))
-		for b := range agg {
-			backends = append(backends, b)
-		}
-		sort.Strings(backends)
-		counter := func(name, help string, get func(*runAggregate) float64) {
-			p.Family(name, "counter", help)
-			for _, b := range backends {
-				p.Value(name, []Label{{"backend", b}}, get(agg[b]))
-			}
-		}
-		gauge := func(name, help string, get func(*runAggregate) float64) {
-			p.Family(name, "gauge", help)
-			for _, b := range backends {
-				p.Value(name, []Label{{"backend", b}}, get(agg[b]))
-			}
-		}
-		counter("mltcp_runs_total", "Backend runs measured by the self-metrics collector.",
-			func(a *runAggregate) float64 { return float64(a.runs) })
-		counter("mltcp_run_events_total", "Scheduler work across runs: engine events fired or fluid integration steps.",
-			func(a *runAggregate) float64 { return float64(a.events) })
-		counter("mltcp_run_wall_seconds_total", "Wall-clock time spent inside backend runs.",
-			func(a *runAggregate) float64 { return a.wallSeconds })
-		counter("mltcp_run_sim_seconds_total", "Simulated time advanced across runs.",
-			func(a *runAggregate) float64 { return a.simSeconds })
-		counter("mltcp_run_allocs_total", "Heap allocations attributed to runs.",
-			func(a *runAggregate) float64 { return float64(a.allocs) })
-		counter("mltcp_run_alloc_bytes_total", "Heap bytes allocated by runs.",
-			func(a *runAggregate) float64 { return float64(a.allocBytes) })
-		counter("mltcp_run_packets_sent_total", "Packets delivered across every link (packet backend).",
-			func(a *runAggregate) float64 { return float64(a.packetsSent) })
-		counter("mltcp_run_packets_dropped_total", "Packets dropped across every link (packet backend).",
-			func(a *runAggregate) float64 { return float64(a.packetsDropped) })
-		counter("mltcp_run_bytes_sent_total", "Bytes delivered across every link (packet backend).",
-			func(a *runAggregate) float64 { return float64(a.bytesSent) })
-		gauge("mltcp_run_peak_heap_bytes", "Largest live-heap sample observed in any run.",
-			func(a *runAggregate) float64 { return float64(a.peakHeapBytes) })
-		gauge("mltcp_run_max_heap_depth", "Deepest engine event heap observed in any run.",
-			func(a *runAggregate) float64 { return float64(a.maxHeapDepth) })
+// ValidatePromText checks exposition syntax: every line is a HELP, a
+// TYPE, or a well-formed sample, every sample belongs to the most
+// recently opened family (histogram samples by their _bucket/_sum/_count
+// suffix), no family opens twice, and non-empty text ends in a newline.
+// It returns the first violation, naming its line. Tests of every
+// PromWriter caller run their output through it.
+func ValidatePromText(text string) error {
+	if text == "" {
+		return nil
 	}
-
-	if len(sweeps) > 0 {
-		var points, workers int
-		var wall, busy float64
-		for _, s := range sweeps {
-			points += s.Points
-			workers = s.Workers
-			wall += s.Wall.Seconds()
-			busy += s.BusyTime().Seconds()
-		}
-		last := sweeps[len(sweeps)-1]
-		p.Family("mltcp_sweeps_total", "counter", "Harness sweeps measured.")
-		p.Value("mltcp_sweeps_total", nil, float64(len(sweeps)))
-		p.Family("mltcp_sweep_points_total", "counter", "Scenario points executed across sweeps.")
-		p.Value("mltcp_sweep_points_total", nil, float64(points))
-		p.Family("mltcp_sweep_wall_seconds_total", "counter", "Wall-clock time spent inside sweeps.")
-		p.Value("mltcp_sweep_wall_seconds_total", nil, wall)
-		p.Family("mltcp_sweep_busy_seconds_total", "counter", "Summed per-point wall time across sweeps.")
-		p.Value("mltcp_sweep_busy_seconds_total", nil, busy)
-		p.Family("mltcp_sweep_workers", "gauge", "Worker pool size of the most recent sweep.")
-		p.Value("mltcp_sweep_workers", nil, float64(workers))
-		p.Family("mltcp_sweep_worker_utilization", "gauge", "Busy fraction of the most recent sweep's pool.")
-		p.Value("mltcp_sweep_worker_utilization", nil, last.Utilization())
+	var (
+		sampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"(,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})? (-?[0-9.e+-]+|[+-]Inf|NaN)$`)
+		typeRe   = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary|untyped)$`)
+		helpRe   = regexp.MustCompile(`^# HELP ([a-zA-Z_:][a-zA-Z0-9_:]*) .*$`)
+	)
+	if !strings.HasSuffix(text, "\n") {
+		return fmt.Errorf("exposition does not end in a newline")
 	}
-
-	if bench != nil && len(bench.Points) > 0 {
-		// One family per comparison metric, one sample per suite point.
-		// Metric order comes from PointMetrics; point order is suite order.
-		names := make([]string, 0)
-		seen := make(map[string]bool)
-		for _, mv := range PointMetrics(bench.Points[0]) {
-			if !seen[mv.Name] {
-				seen[mv.Name] = true
-				names = append(names, mv.Name)
+	family := ""
+	seen := map[string]bool{}
+	for i, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		switch {
+		case helpRe.MatchString(line):
+		case typeRe.MatchString(line):
+			family = typeRe.FindStringSubmatch(line)[1]
+			if seen[family] {
+				return fmt.Errorf("line %d: family %s opened twice", i+1, family)
 			}
-		}
-		for _, name := range names {
-			fam := "mltcp_bench_" + SanitizePromName(name)
-			p.Family(fam, "gauge", fmt.Sprintf("Bench suite %s per point (suite %s).", name, bench.Suite))
-			for _, pt := range bench.Points {
-				for _, mv := range PointMetrics(pt) {
-					if mv.Name != name {
-						continue
-					}
-					p.Value(fam, []Label{{"point", pt.Name}, {"backend", pt.Backend}}, mv.Value)
-				}
+			seen[family] = true
+		case sampleRe.MatchString(line):
+			name := sampleRe.FindStringSubmatch(line)[1]
+			base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name,
+				"_bucket"), "_sum"), "_count")
+			if name != family && base != family {
+				return fmt.Errorf("line %d: sample %s outside its family (current %s)", i+1, name, family)
 			}
+		default:
+			return fmt.Errorf("line %d: not valid exposition syntax: %q", i+1, line)
 		}
 	}
-
-	_, err := p.WriteTo(w)
-	return err
+	return nil
 }
