@@ -25,9 +25,11 @@ func FuzzScenarioLoad(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// An unknown rack on the largest fat-tree, on a leaf-spine with many
-	// leaves, and on a k whose k²/2 overflows int (rejected up front).
+	// An unknown rack on the largest fat-tree, on the largest leaf-spine,
+	// on a leaf-spine with more leaves than that fat-tree has hosts, and
+	// on a k whose k²/2 overflows int (the last two rejected up front).
 	f.Add([]byte(`{"topology":{"kind":"fattree","k":128},"jobs":[{"profile":"gpt2","src_rack":"x","dst_rack":"x"}]}`))
+	f.Add([]byte(`{"topology":{"kind":"leafspine","leaves":1024,"spines":1024,"hosts_per_leaf":512},"jobs":[{"profile":"gpt2","src_rack":"x","dst_rack":"x"}]}`))
 	f.Add([]byte(`{"topology":{"kind":"leafspine","leaves":4000000,"spines":1,"hosts_per_leaf":1},"jobs":[{"profile":"gpt2","src_rack":"x","dst_rack":"x"}]}`))
 	f.Add([]byte(`{"topology":{"kind":"fattree","k":3037000500},"jobs":[{"profile":"gpt2","src_rack":"x","dst_rack":"x"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -20,6 +20,14 @@ const (
 // can run, and it keeps every k-derived count well inside int.
 const MaxFatTreeK = 128
 
+// A leaf-spine may be no larger than the k=MaxFatTreeK fat-tree: at most
+// its k³/4 = 524,288 hosts and its k³/2 = 1,048,576 switch-to-switch
+// cables (leaves × spines).
+const (
+	maxLeafSpineHosts       = MaxFatTreeK * MaxFatTreeK * MaxFatTreeK / 4
+	maxLeafSpineSwitchLinks = MaxFatTreeK * MaxFatTreeK * MaxFatTreeK / 2
+)
+
 // TopologyKinds returns the accepted topology kinds in a stable order
 // (for error messages and usage strings).
 func TopologyKinds() []string { return []string{KindFatTree, KindLeafSpine} }
@@ -57,8 +65,26 @@ func (t *Topology) validate() error {
 			return fmt.Errorf("config: fattree topology takes k, not leaves/spines/hosts_per_leaf")
 		}
 	case KindLeafSpine:
-		if t.Leaves < 1 || t.Spines < 1 || t.HostsPerLeaf < 1 {
-			return fmt.Errorf("config: leafspine topology needs leaves, spines, hosts_per_leaf >= 1")
+		for _, d := range []struct {
+			field    string
+			val, max int
+		}{
+			{"leaves", t.Leaves, maxLeafSpineHosts},
+			{"spines", t.Spines, maxLeafSpineSwitchLinks},
+			{"hosts_per_leaf", t.HostsPerLeaf, maxLeafSpineHosts},
+		} {
+			if d.val < 1 || d.val > d.max {
+				return fmt.Errorf("config: leafspine %s %d must be in [1, %d]", d.field, d.val, d.max)
+			}
+		}
+		// Each factor is at least 1, so dividing cannot overflow.
+		if t.HostsPerLeaf > maxLeafSpineHosts/t.Leaves {
+			return fmt.Errorf("config: leafspine hosts_per_leaf %d on %d leaves exceeds %d hosts (the k=%d fat-tree's)",
+				t.HostsPerLeaf, t.Leaves, maxLeafSpineHosts, MaxFatTreeK)
+		}
+		if t.Spines > maxLeafSpineSwitchLinks/t.Leaves {
+			return fmt.Errorf("config: leafspine spines %d on %d leaves exceeds %d switch links (the k=%d fat-tree's)",
+				t.Spines, t.Leaves, maxLeafSpineSwitchLinks, MaxFatTreeK)
 		}
 		if t.K != 0 {
 			return fmt.Errorf("config: leafspine topology takes leaves/spines/hosts_per_leaf, not k")

@@ -64,6 +64,39 @@ func TestTopologyRejects(t *testing.T) {
 			[]string{"leafspine", "spines"},
 		},
 		{
+			// Each dimension alone is bounded by the k=128 fat-tree's
+			// hosts or switch links, before any product is formed.
+			"leafspine-huge-everything",
+			`{"topology": {"kind": "leafspine", "leaves": 4000000, "spines": 4000000, "hosts_per_leaf": 4000000}, "jobs": [{"profile": "gpt2", "src_rack": "x", "dst_rack": "x"}]}`,
+			[]string{"leaves", "4000000", "[1, 524288]"},
+		},
+		{
+			"leafspine-huge-spines",
+			`{"topology": {"kind": "leafspine", "leaves": 2, "spines": 1048577, "hosts_per_leaf": 2}, "jobs": [{"profile": "gpt2"}]}`,
+			[]string{"spines", "1048577", "[1, 1048576]"},
+		},
+		{
+			"leafspine-huge-hosts-per-leaf",
+			`{"topology": {"kind": "leafspine", "leaves": 2, "spines": 2, "hosts_per_leaf": 524289}, "jobs": [{"profile": "gpt2"}]}`,
+			[]string{"hosts_per_leaf", "524289", "[1, 524288]"},
+		},
+		{
+			// 1024 × 1024 hosts: each factor in range, the product not.
+			"leafspine-too-many-hosts",
+			`{"topology": {"kind": "leafspine", "leaves": 1024, "spines": 2, "hosts_per_leaf": 1024}, "jobs": [{"profile": "gpt2"}]}`,
+			[]string{"hosts_per_leaf", "1024 leaves", "524288 hosts"},
+		},
+		{
+			"leafspine-too-many-switch-links",
+			`{"topology": {"kind": "leafspine", "leaves": 2048, "spines": 1024, "hosts_per_leaf": 1}, "jobs": [{"profile": "gpt2"}]}`,
+			[]string{"spines", "2048 leaves", "1048576 switch links"},
+		},
+		{
+			"leafspine-zero-hosts-per-leaf",
+			`{"topology": {"kind": "leafspine", "leaves": 4, "spines": 2, "hosts_per_leaf": 0}, "jobs": [{"profile": "gpt2"}]}`,
+			[]string{"hosts_per_leaf", "[1, 524288]"},
+		},
+		{
 			"leafspine-with-k",
 			`{"topology": {"kind": "leafspine", "leaves": 4, "spines": 2, "hosts_per_leaf": 2, "k": 4}, "jobs": [{"profile": "gpt2"}]}`,
 			[]string{"leafspine", "not k"},

@@ -2,7 +2,7 @@ package fluid
 
 import (
 	"math"
-	"math/bits"
+	"slices"
 
 	"mltcp/internal/units"
 )
@@ -19,82 +19,131 @@ type AllocScratch struct {
 	Bottleneck []int // link that froze each flow (-1 while unfrozen / single-link)
 
 	// inc is the max-min allocator's incidence index over the active
-	// paths, kept across calls and rebuilt only after Reindex.
+	// paths, kept across calls: Sim reports every join and leave to it,
+	// and a direct caller marks it stale with Reindex.
 	inc incidence
 
-	// Per indexed link (position k in inc.links, not the link id):
+	// Per link of the indexed network, by link id:
 	load  []float64 // frozen rate charged to the link
 	wsum  []float64 // unfrozen weight crossing the link
 	fill  []float64 // cached max(0, (capacity-load)/wsum) while a candidate
 	done  []bool    // bottleneck already, or never a candidate this call
-	mark  []uint32  // mark[k] == gen: touched by a freeze this round
+	mark  []uint32  // mark[l] == gen: touched by a freeze this round
 	gen   uint32    // the current round's mark
-	touch []int32   // the positions marked this round, in marking order
+	touch []int32   // the links marked this round, in marking order
 }
 
-// incidence indexes which flows cross which links for one active set on
-// one network. Links are renumbered to dense positions 0..m-1 in
-// ascending link-id order, so every per-link array is m long however
-// large the fabric is, and scanning positions in order scans link ids in
-// order — the bottleneck tie-break depends on it.
+// incidence indexes which active flows cross which links of one network,
+// and how those links group into link-connected components. Every
+// per-link array is indexed by link id and every per-flow array by
+// active position. It is kept incrementally: join adds one flow and
+// leave drops one, each touching only that flow's links and the
+// components they belong to. A full build is reset followed by a join
+// per active flow, in active order.
 //
-// The index is not checked against its input: it stays in use until
-// Reindex marks it stale, and the next call rebuilds it.
+// The index is not checked against its input: the caller keeps it in
+// step with the active set (Sim by join and leave, anyone else by
+// Reindex, which makes the next call rebuild it).
 type incidence struct {
-	// built is false in a zero scratch and after Reindex.
+	// built is false in a zero scratch and after Reindex; join and leave
+	// leave a stale index alone.
 	built bool
-	// hops holds every active path as link positions, in active order:
-	// flow i's path is hops[pathOff[i]:pathOff[i+1]].
-	pathOff []int32
-	hops    []int32
-	// links maps a position to its link id, ascending.
-	links []int
-	// rowOff/rows is the link→flow CSR: position k is crossed by flows
-	// rows[rowOff[k]:rowOff[k+1]], ascending, a flow repeated once per
-	// crossing.
-	rowOff []int32
-	rows   []int32
-	// The link-connected components: component c owns the ascending
-	// positions compLinks[compOff[c]:compOff[c+1]] and compFlows[c]
-	// flows. No flow crosses two components. uniform[c] marks a
-	// single-flow component whose flow crosses each of its links once
-	// and whose links' capacities have the same bits: every link's fill
-	// is then the same, and the bottleneck is the lowest position. On a
-	// fat-tree of one link rate every single-flow component is uniform,
-	// and skipping its scan is most of what the closed form saves.
-	compOff   []int32
-	compLinks []int32
+	// caps are the indexed network's link capacities.
+	caps []units.Rate
+	// paths[f] is active flow f's path.
+	paths [][]int
+	// The link→flow rows: link l's crossings are the list rowHead[l],
+	// xs[rowHead[l]].next, ... (-1 ends it), in ascending flow order, a
+	// flow repeated once per crossing. Unused crossings have flow -1 and
+	// are chained from free.
+	rowHead []int32
+	xs      []crossing
+	free    int32
+	// The components: no flow crosses two. Link l belongs to component
+	// compOf[l] (-1 while no active flow crosses it). Component c's
+	// links, ascending, are the list compHead[c], linkNext[...], ..., and
+	// it holds compFlows[c] flows. uniform[c] marks a single-flow
+	// component whose flow crosses each of its links once and whose
+	// links' capacities have the same bits: every link's fill is then the
+	// same, and the bottleneck is its lowest link. On a fat-tree of one
+	// link rate every single-flow component is uniform, and skipping its
+	// scan is most of what the closed form saves. Components are
+	// numbered densely; their order does not affect any rate, since each
+	// is filled on its own.
+	compOf    []int32
+	linkNext  []int32
+	compHead  []int32
 	compFlows []int32
 	uniform   []bool
-	// Build-time scratch: pos maps a current link id to its position,
-	// seen is a bitset over link ids (all zero between builds), and
-	// cursor and comp are indexed by position.
-	pos    []int32
-	seen   []uint64
-	cursor []int32
-	comp   []int32
+	// rest is leave's scratch: the flows left in a dissolved component.
+	rest []int32
 }
 
+// crossing is one flow's crossing of one link, an element of that
+// link's row.
+type crossing struct{ flow, next int32 }
+
 // Reindex marks the cached incidence index stale, so the next
-// AllocateNetworkInto call rebuilds it. Call it whenever the active set,
-// a job's path or the network (a link capacity included) changes between
-// calls that share the scratch: Sim does so wherever a job joins or
-// leaves its active set.
+// AllocateNetworkInto call rebuilds it from its active set. A direct
+// caller that reuses the scratch calls it whenever the active set, a
+// job's path or the network (a link capacity included) changes between
+// calls. Sim never needs it: it reports each join and leave to the
+// index instead.
 func (sc *AllocScratch) Reindex() { sc.inc.built = false }
 
-// reserve sizes the scratch for a network of nl links carrying at most
-// flows active jobs whose paths total at most hops link crossings, so
-// that no later call — index rebuilds included — allocates.
-func (sc *AllocScratch) reserve(flows, hops, nl int) {
-	m := min(hops, nl)
+// reserve sizes the scratch for a network with the given capacities,
+// carrying at most flows active jobs whose paths total at most hops
+// link crossings, so that no later call — joins and leaves included —
+// allocates, and leaves it an empty, current index.
+func (sc *AllocScratch) reserve(caps []units.Rate, flows, hops int) {
 	sc.flows(flows)
-	sc.links(m)
 	ix := &sc.inc
-	ix.pathOff = grow(ix.pathOff, flows+1)
-	ix.hops = grow(ix.hops, hops)
-	ix.rows = grow(ix.rows, hops)
-	ix.growLinks(m)
-	ix.growNetwork(nl)
+	ix.paths = grow(ix.paths, flows)
+	ix.xs = grow(ix.xs, hops)
+	ix.compHead = grow(ix.compHead, flows)
+	ix.compFlows = grow(ix.compFlows, flows)
+	ix.uniform = grow(ix.uniform, flows)
+	ix.rest = grow(ix.rest, flows)
+	sc.reset(caps)
+}
+
+// reset empties the index for a network with the given capacities and
+// sizes the per-link state for it.
+func (sc *AllocScratch) reset(caps []units.Rate) {
+	nl := len(caps)
+	sc.load = grow(sc.load, nl)
+	sc.wsum = grow(sc.wsum, nl)
+	sc.fill = grow(sc.fill, nl)
+	sc.done = grow(sc.done, nl)
+	sc.touch = grow(sc.touch, nl)
+	sc.mark = grow(sc.mark, nl)
+	clear(sc.mark)
+	sc.gen = 0
+
+	ix := &sc.inc
+	ix.caps = caps
+	ix.rowHead = grow(ix.rowHead, nl)
+	ix.compOf = grow(ix.compOf, nl)
+	ix.linkNext = grow(ix.linkNext, nl)
+	for l := range nl {
+		ix.rowHead[l], ix.compOf[l] = -1, -1
+	}
+	clear(ix.paths)
+	ix.paths = ix.paths[:0]
+	ix.xs = ix.xs[:0]
+	ix.free = -1
+	ix.compHead = ix.compHead[:0]
+	ix.compFlows = ix.compFlows[:0]
+	ix.uniform = ix.uniform[:0]
+	ix.built = true
+}
+
+// rebuild indexes the active paths from scratch.
+func (sc *AllocScratch) rebuild(caps []units.Rate, active []*Job) {
+	sc.reset(caps)
+	for i, j := range active {
+		sc.inc.join(i, j.Path)
+	}
 }
 
 // grow returns s resliced to length n, reallocating (without copying)
@@ -104,18 +153,6 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
-}
-
-// links (re)sizes the per-position link state for m indexed links.
-func (sc *AllocScratch) links(m int) {
-	sc.load = grow(sc.load, m)
-	sc.wsum = grow(sc.wsum, m)
-	sc.fill = grow(sc.fill, m)
-	sc.done = grow(sc.done, m)
-	sc.touch = grow(sc.touch, m)
-	sc.mark = grow(sc.mark, m)
-	clear(sc.mark)
-	sc.gen = 0
 }
 
 // weights (re)sizes just the Weights slice and returns it. The
@@ -137,161 +174,203 @@ func (sc *AllocScratch) flows(n int) {
 	}
 }
 
-// growLinks sizes the position-indexed index arrays for m links.
-func (ix *incidence) growLinks(m int) {
-	ix.links = grow(ix.links, m)
-	ix.rowOff = grow(ix.rowOff, m+1)
-	ix.compOff = grow(ix.compOff, m+1)
-	ix.compLinks = grow(ix.compLinks, m)
-	ix.compFlows = grow(ix.compFlows, m)
-	ix.uniform = grow(ix.uniform, m)
-	ix.cursor = grow(ix.cursor, m)
-	ix.comp = grow(ix.comp, m)
-}
-
-// growNetwork sizes the link-id-indexed scratch for nl links. Every
-// word of seen, up to its capacity, is zero outside build.
-func (ix *incidence) growNetwork(nl int) {
-	ix.pos = grow(ix.pos, nl)
-	ix.seen = grow(ix.seen, (nl+63)/64)
-}
-
-// build indexes the active paths on a network with the given link
-// capacities: the dense link positions, the paths as positions, the
-// link→flow CSR, the link-connected components (union-find over links
-// shared by a flow) and which single-flow components are uniform. It
-// runs only after Reindex, and allocates only when the scratch was not
-// reserved large enough.
+// join indexes a flow with the given path at active position i; the
+// flows at i and beyond move up one. Its crossings go into their rows in
+// flow order, and attach gives it a component. A stale index is left
+// alone.
 //
 // hot
-func (ix *incidence) build(caps []units.Rate, active []*Job) {
-	ix.growNetwork(len(caps))
-	total := 0
-	for _, j := range active {
-		total += len(j.Path)
+func (ix *incidence) join(i int, path []int) {
+	if !ix.built {
+		return
 	}
-	ix.pathOff = grow(ix.pathOff, len(active)+1)
-	ix.hops = grow(ix.hops, total)
-	ix.rows = grow(ix.rows, total)
+	f := int32(i)
+	if i < len(ix.paths) {
+		ix.shift(f, 1)
+	}
+	ix.paths = slices.Insert(ix.paths, i, path)
+	for _, l := range path {
+		x := ix.free
+		if x >= 0 {
+			ix.free = ix.xs[x].next
+		} else {
+			x = int32(len(ix.xs))
+			ix.xs = append(ix.xs, crossing{})
+		}
+		prev, cur := int32(-1), ix.rowHead[l]
+		for cur >= 0 && ix.xs[cur].flow <= f {
+			prev, cur = cur, ix.xs[cur].next
+		}
+		ix.xs[x] = crossing{flow: f, next: cur}
+		if prev < 0 {
+			ix.rowHead[l] = x
+		} else {
+			ix.xs[prev].next = x
+		}
+	}
+	ix.attach(f)
+}
 
-	// Every crossed link is marked in seen; then the marked links,
-	// ascending, become positions 0..m-1 (clearing seen again).
-	off := 0
-	for i, j := range active {
-		ix.pathOff[i] = int32(off)
-		off += len(j.Path)
-		for _, l := range j.Path {
-			ix.seen[l>>6] |= 1 << (l & 63)
-		}
+// leave drops the flow at active position i; the flows beyond it move
+// down one. Its component is dissolved and the component's other flows,
+// if any, are attached again, which re-splits what the flow alone held
+// together. A stale index is left alone.
+//
+// hot
+func (ix *incidence) leave(i int) {
+	if !ix.built {
+		return
 	}
-	ix.pathOff[len(active)] = int32(off)
-	links := ix.links[:0]
-	for w, word := range ix.seen {
-		for ; word != 0; word &= word - 1 {
-			l := w<<6 | bits.TrailingZeros64(word)
-			ix.pos[l] = int32(len(links))
-			links = append(links, l)
-		}
-		ix.seen[w] = 0
-	}
-	ix.links = links
-	m := len(links)
-	ix.growLinks(m)
-	for i, j := range active {
-		hops := ix.hops[ix.pathOff[i]:ix.pathOff[i+1]]
-		for p, l := range j.Path {
-			hops[p] = ix.pos[l]
-		}
-	}
-
-	// CSR rows: count crossings per position, prefix-sum, then place the
-	// flows in ascending order (cursor is each row's write head).
-	for k := range ix.cursor {
-		ix.cursor[k] = 0
-	}
-	for _, k := range ix.hops {
-		ix.cursor[k]++
-	}
-	ix.rowOff[0] = 0
-	for k := 0; k < m; k++ {
-		ix.rowOff[k+1] = ix.rowOff[k] + ix.cursor[k]
-		ix.cursor[k] = ix.rowOff[k]
-	}
-	for i := range active {
-		for _, k := range ix.hops[ix.pathOff[i]:ix.pathOff[i+1]] {
-			ix.rows[ix.cursor[k]] = int32(i)
-			ix.cursor[k]++
-		}
-	}
-
-	// Components: union every flow's links (cursor now serves as the
-	// union-find parent array), then number the roots in ascending order
-	// of their lowest position and bucket the positions by component.
-	parent := ix.cursor
-	for k := range parent {
-		parent[k] = int32(k)
-	}
-	for i := range active {
-		hops := ix.hops[ix.pathOff[i]:ix.pathOff[i+1]]
-		r := find(parent, hops[0])
-		for _, k := range hops[1:] {
-			if s := find(parent, k); s != r {
-				if s < r {
-					r, s = s, r
+	f := int32(i)
+	path := ix.paths[i]
+	for _, l := range path {
+		prev, cur := int32(-1), ix.rowHead[l]
+		for cur >= 0 {
+			next := ix.xs[cur].next
+			if ix.xs[cur].flow != f {
+				prev = cur
+			} else {
+				if prev < 0 {
+					ix.rowHead[l] = next
+				} else {
+					ix.xs[prev].next = next
 				}
-				parent[s] = r
+				ix.xs[cur] = crossing{flow: -1, next: ix.free}
+				ix.free = cur
+			}
+			cur = next
+		}
+	}
+	c := ix.compOf[path[0]]
+	rest := ix.rest[:0]
+	if ix.compFlows[c] > 1 {
+		for g, p := range ix.paths {
+			if g == i || ix.compOf[p[0]] != c {
+				continue
+			}
+			if g > i {
+				g-- // its position once f is gone
+			}
+			rest = append(rest, int32(g))
+		}
+	}
+	for l := ix.compHead[c]; l >= 0; l = ix.linkNext[l] {
+		ix.compOf[l] = -1
+	}
+	ix.dropComp(c)
+	ix.paths = slices.Delete(ix.paths, i, i+1)
+	ix.shift(f+1, -1)
+	for _, g := range rest {
+		ix.attach(g)
+	}
+	ix.rest = rest
+}
+
+// attach gives flow f, whose crossings are already in their rows, a
+// component: every component its links belong to merges into one, and
+// its links that belong to none join that one — a new single-flow
+// component when there was none to merge.
+func (ix *incidence) attach(f int32) {
+	path := ix.paths[f]
+	c := int32(-1)
+	for _, l := range path {
+		if d := ix.compOf[l]; d >= 0 && d != c {
+			if c < 0 {
+				c = d
+			} else {
+				c = ix.merge(c, d)
 			}
 		}
 	}
-	nc := int32(0)
-	for k := range parent {
-		r := find(parent, int32(k))
-		if r == int32(k) {
-			ix.comp[k] = nc
-			ix.compOff[nc+1] = 0
-			ix.compFlows[nc] = 0
-			nc++
-		} else {
-			ix.comp[k] = ix.comp[r] // r < k: already numbered
+	if c < 0 {
+		c = int32(len(ix.compHead))
+		ix.compHead = append(ix.compHead, -1)
+		ix.compFlows = append(ix.compFlows, 0)
+		ix.uniform = append(ix.uniform, false)
+	}
+	for _, l := range path {
+		if ix.compOf[l] < 0 { // not in c already, nor a repeat crossing
+			ix.linkNext[l] = -1
+			ix.compHead[c] = ix.mergeLinks(ix.compHead[c], int32(l), c)
 		}
-		ix.compOff[ix.comp[k]+1]++
 	}
-	ix.compOff[0] = 0
-	for c := int32(0); c < nc; c++ {
-		ix.compOff[c+1] += ix.compOff[c]
-		ix.cursor[c] = ix.compOff[c] // parent is dead from here on
-	}
-	for k := 0; k < m; k++ {
-		c := ix.comp[k]
-		ix.compLinks[ix.cursor[c]] = int32(k)
-		ix.cursor[c]++
-	}
-	for i := range active {
-		ix.compFlows[ix.comp[ix.hops[ix.pathOff[i]]]]++
-	}
-	ix.compOff = ix.compOff[:nc+1]
-	ix.compFlows = ix.compFlows[:nc]
-
-	// Uniform single-flow components: one crossing per link and
-	// bit-identical capacities, so every link's fill is the same bits.
-	for c := int32(0); c < nc; c++ {
-		comp := ix.compLinks[ix.compOff[c]:ix.compOff[c+1]]
-		c0 := math.Float64bits(float64(caps[links[comp[0]]]))
-		u := ix.compFlows[c] == 1
-		for _, k := range comp {
-			u = u && ix.rowOff[k+1]-ix.rowOff[k] == 1 && math.Float64bits(float64(caps[links[k]])) == c0
-		}
-		ix.uniform[c] = u
-	}
-	ix.uniform = ix.uniform[:nc]
-	ix.built = true
+	ix.compFlows[c]++
+	ix.uniform[c] = ix.compFlows[c] == 1 && ix.uniformLinks(c)
 }
 
-// find returns k's union-find root, halving the path on the way.
-func find(parent []int32, k int32) int32 {
-	for parent[k] != k {
-		parent[k] = parent[parent[k]]
-		k = parent[k]
+// shift adds by to every crossing's flow from flow from on.
+func (ix *incidence) shift(from, by int32) {
+	for x := range ix.xs {
+		if ix.xs[x].flow >= from {
+			ix.xs[x].flow += by
+		}
 	}
-	return k
+}
+
+// merge folds component d into component c and returns c's number
+// afterwards (dropping d renumbers the last component).
+func (ix *incidence) merge(c, d int32) int32 {
+	ix.compHead[c] = ix.mergeLinks(ix.compHead[c], ix.compHead[d], c)
+	ix.compFlows[c] += ix.compFlows[d]
+	last := int32(len(ix.compHead) - 1)
+	ix.dropComp(d)
+	if c == last {
+		return d
+	}
+	return c
+}
+
+// dropComp deletes component c's entry, moving the last component into
+// its number. It leaves c's links as they are.
+func (ix *incidence) dropComp(c int32) {
+	last := int32(len(ix.compHead) - 1)
+	if c != last {
+		ix.compHead[c], ix.compFlows[c], ix.uniform[c] = ix.compHead[last], ix.compFlows[last], ix.uniform[last]
+		for l := ix.compHead[c]; l >= 0; l = ix.linkNext[l] {
+			ix.compOf[l] = c
+		}
+	}
+	ix.compHead = ix.compHead[:last]
+	ix.compFlows = ix.compFlows[:last]
+	ix.uniform = ix.uniform[:last]
+}
+
+// mergeLinks merges the ascending link lists a and b, which share no
+// link, into one, assigns every link in it to component c, and returns
+// its head.
+func (ix *incidence) mergeLinks(a, b, c int32) int32 {
+	head, tail := int32(-1), int32(-1)
+	for a >= 0 || b >= 0 {
+		l := b
+		if b < 0 || (a >= 0 && a < b) {
+			l, a = a, ix.linkNext[a]
+		} else {
+			b = ix.linkNext[b]
+		}
+		ix.compOf[l] = c
+		if tail < 0 {
+			head = l
+		} else {
+			ix.linkNext[tail] = l
+		}
+		tail = l
+	}
+	if tail >= 0 {
+		ix.linkNext[tail] = -1
+	}
+	return head
+}
+
+// uniformLinks reports whether each of component c's links is crossed
+// once and all their capacities have the same bits, so that a single
+// flow's fill is the same bits on every one.
+func (ix *incidence) uniformLinks(c int32) bool {
+	h := ix.compHead[c]
+	c0 := math.Float64bits(float64(ix.caps[h]))
+	for l := h; l >= 0; l = ix.linkNext[l] {
+		if ix.xs[ix.rowHead[l]].next >= 0 || math.Float64bits(float64(ix.caps[l])) != c0 {
+			return false
+		}
+	}
+	return true
 }

@@ -241,7 +241,7 @@ func New(cfg Config, jobs []*Job) *Sim {
 		}
 	}
 	if cfg.Network != nil {
-		s.scratch.reserve(len(jobs), hops, len(cfg.Network.Capacities))
+		s.scratch.reserve(cfg.Network.Capacities, len(jobs), hops)
 	}
 	s.active = make([]*Job, 0, len(jobs))
 	s.rates = make([]units.Rate, len(jobs))
@@ -417,9 +417,9 @@ func (s *Sim) wakeDueJobs() {
 }
 
 // insertActive places j into the active list keeping ascending flow-id
-// order — the same order the old per-step scan over s.jobs produced.
+// order — the same order the old per-step scan over s.jobs produced —
+// and, on a network, joins it to the allocator's incidence index.
 func (s *Sim) insertActive(j *Job) {
-	s.scratch.Reindex()
 	s.active = append(s.active, nil)
 	i := len(s.active) - 1
 	for i > 0 && s.active[i-1].flow > j.flow {
@@ -427,10 +427,16 @@ func (s *Sim) insertActive(j *Job) {
 		i--
 	}
 	s.active[i] = j
+	if s.cfg.Network != nil {
+		s.scratch.inc.join(i, j.Path)
+	}
 }
 
 // compactActive drops jobs that left the communicating phase during the
-// integration loop, preserving order.
+// integration loop, preserving order, and, on a network, has each leave
+// the allocator's incidence index. A dropped job's index position is k,
+// the count of jobs kept before it: the dropped ones before it have
+// already left.
 //
 // hot
 func (s *Sim) compactActive() {
@@ -439,13 +445,14 @@ func (s *Sim) compactActive() {
 		if j.phase == phaseComm {
 			s.active[k] = j
 			k++
+		} else if s.cfg.Network != nil {
+			s.scratch.inc.leave(k)
 		}
 	}
 	for i := k; i < len(s.active); i++ {
 		s.active[i] = nil
 	}
 	s.active = s.active[:k]
-	s.scratch.Reindex()
 }
 
 // nextBoundary returns the interval to the next wake-up or the step limit.

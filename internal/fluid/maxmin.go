@@ -68,11 +68,13 @@ func (p MaxMin) AllocateNetwork(nw *Network, active []*Job) []units.Rate {
 //
 // The work is organized around the scratch's incidence index, so a call
 // costs in proportion to the links and flows that interact, not to the
-// fabric. The index is built on a zero scratch's first call and after
-// every sc.Reindex, and is otherwise reused unchecked: a caller that
-// reuses sc after the active set, a job's path or the network (a link
-// capacity included) changed must call sc.Reindex first. Sim does so
-// wherever its active set changes.
+// fabric. The index is reused unchecked. Sim keeps it current by
+// reporting each job that joins or leaves its active set, which updates
+// only the components that job's links touch. A zero scratch's first
+// call, and the first call after sc.Reindex, build it from active: a
+// direct caller that reuses sc after the active set, a job's path or
+// the network (a link capacity included) changed must call sc.Reindex
+// first.
 //
 //   - Filling runs per link-connected component, each on its own. A
 //     freeze moves load and weight sums only inside its component, and
@@ -81,18 +83,18 @@ func (p MaxMin) AllocateNetwork(nw *Network, active []*Job) []units.Rate {
 //     as one global scan would. Each component initialises its own
 //     links' round-one state.
 //   - A single-flow component touches no per-link state. Its flow
-//     freezes at its min-fill link, the lowest position on ties, at the
+//     freezes at its min-fill link, the lowest link on ties, at the
 //     rate the fill loop computes there: headroom capacity-0 (no load
 //     yet) times w, over a weight sum of w per crossing. When the flow
 //     crosses each link once and the capacities have the same bits,
 //     every fill is equal and that link is the component's first, known
-//     at build time; otherwise one pass over the links re-sums each
-//     weight and keeps the strict minimum fill. A flow whose weight is
-//     not positive (or NaN) has no candidate link and keeps rate 0.
-//   - The flows on a bottleneck come from its CSR row, in active order —
+//     when the flow joined; otherwise one pass over the links re-sums
+//     each weight and keeps the strict minimum fill. A flow whose weight
+//     is not positive (or NaN) has no candidate link and keeps rate 0.
+//   - The flows on a bottleneck come from its row, in active order —
 //     the order a scan over every active path finds them in.
 //   - After a round only the links a frozen flow crosses have their
-//     weight sum and fill recomputed. Each is re-summed over its CSR row
+//     weight sum and fill recomputed. Each is re-summed over its row
 //     in flow order, the same float additions in the same order as a sum
 //     from scratch; every other link's sum and fill are unchanged.
 //
@@ -122,63 +124,61 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 	}
 	ix := &sc.inc
 	if !ix.built {
-		ix.build(nw.Capacities, active)
-		sc.links(len(ix.links))
+		sc.rebuild(nw.Capacities, active)
 	}
-	caps, links, rowOff, rows := nw.Capacities, ix.links, ix.rowOff, ix.rows
+	caps, rowHead, xs, linkNext := nw.Capacities, ix.rowHead, ix.xs, ix.linkNext
 	load, wsum, fill, done, mark, touch := sc.load, sc.wsum, sc.fill, sc.done, sc.mark, sc.touch
 
 	for c, nf := range ix.compFlows {
-		comp := ix.compLinks[ix.compOff[c]:ix.compOff[c+1]]
+		first := ix.compHead[c]
 		if nf == 1 {
 			// A single flow: it freezes at its min-fill link, and what
 			// the fill loop would compute there — load 0, a weight sum
 			// of w per crossing — has a closed form.
-			f := rows[rowOff[comp[0]]]
+			f := xs[rowHead[first]].flow
 			w := weights[f]
 			if !(w > 0) {
 				continue // no link is a candidate: rate 0, no bottleneck
 			}
-			b, ws := comp[0], w
+			b, ws := first, w
 			if !ix.uniform[c] {
 				var bFill float64
 				b = -1
-				for _, k := range comp {
+				for k := first; k >= 0; k = linkNext[k] {
 					var s float64
-					for range rowOff[k+1] - rowOff[k] {
+					for x := rowHead[k]; x >= 0; x = xs[x].next {
 						s += w
 					}
-					if fk := nonNeg(float64(caps[links[k]]) / s); b < 0 || fk < bFill {
+					if fk := nonNeg(float64(caps[k]) / s); b < 0 || fk < bFill {
 						b, bFill, ws = k, fk, s
 					}
 				}
 			}
-			bl := links[b]
-			rates[f] = units.Rate(nonNeg(float64(caps[bl])-0) * w / ws)
+			rates[f] = units.Rate(nonNeg(float64(caps[b])-0) * w / ws)
 			frozen[f] = true
-			sc.Bottleneck[f] = bl
+			sc.Bottleneck[f] = int(b)
 			continue
 		}
 
 		// Round one's weight sums. A link whose sum is not positive is
 		// no candidate for the whole call (with non-negative weights its
 		// sum stays 0 as flows freeze), so it is marked done up front.
-		for _, k := range comp {
+		for k := first; k >= 0; k = linkNext[k] {
 			var w float64
-			for _, f := range rows[rowOff[k]:rowOff[k+1]] {
-				w += weights[f]
+			for x := rowHead[k]; x >= 0; x = xs[x].next {
+				w += weights[xs[x].flow]
 			}
 			wsum[k], load[k], done[k] = w, 0, !(w > 0)
 			if w > 0 {
-				fill[k] = nonNeg(float64(caps[links[k]]) / w) // load is 0: capacity-0 is capacity
+				fill[k] = nonNeg(float64(caps[k]) / w) // load is 0: capacity-0 is capacity
 			}
 		}
 		for remaining := nf; remaining > 0; {
 			// The next bottleneck: least headroom per unit of unfrozen
-			// weight, lowest position on ties.
+			// weight, lowest link on ties.
 			b := int32(-1)
 			var bFill float64
-			for _, k := range comp {
+			for k := first; k >= 0; k = linkNext[k] {
 				if done[k] || wsum[k] <= 0 {
 					continue
 				}
@@ -190,14 +190,14 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 				// Every remaining flow has zero weight on every link.
 				break
 			}
-			bl := links[b]
-			headroom := nonNeg(float64(caps[bl]) - load[b])
+			headroom := nonNeg(float64(caps[b]) - load[b])
 			if sc.gen++; sc.gen == 0 { // wrapped: no stale mark may equal gen
 				clear(mark)
 				sc.gen = 1
 			}
 			gen, nt := sc.gen, 0
-			for _, f := range rows[rowOff[b]:rowOff[b+1]] {
+			for x := rowHead[b]; x >= 0; x = xs[x].next {
+				f := xs[x].flow
 				if frozen[f] {
 					continue // frozen earlier, or a repeat crossing
 				}
@@ -207,13 +207,13 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 				r := headroom * weights[f] / wsum[b]
 				rates[f] = units.Rate(r)
 				frozen[f] = true
-				sc.Bottleneck[f] = bl
+				sc.Bottleneck[f] = int(b)
 				remaining--
-				for _, k := range ix.hops[ix.pathOff[f]:ix.pathOff[f+1]] {
+				for _, k := range ix.paths[f] {
 					load[k] += r
 					if mark[k] != gen {
 						mark[k] = gen
-						touch[nt] = k
+						touch[nt] = int32(k)
 						nt++
 					}
 				}
@@ -227,14 +227,14 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 					continue
 				}
 				var w float64
-				for _, f := range rows[rowOff[k]:rowOff[k+1]] {
-					if !frozen[f] {
+				for x := rowHead[k]; x >= 0; x = xs[x].next {
+					if f := xs[x].flow; !frozen[f] {
 						w += weights[f]
 					}
 				}
 				wsum[k] = w
 				if w > 0 {
-					fill[k] = nonNeg((float64(caps[links[k]]) - load[k]) / w)
+					fill[k] = nonNeg((float64(caps[k]) - load[k]) / w)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package fluid
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -17,11 +18,12 @@ import (
 // diffRunner runs MaxMin and the reference allocator side by side over a
 // sequence of calls. MaxMin keeps one AllocScratch for the runner's whole
 // life — across active-set changes and across networks of different
-// sizes — so its cached incidence index is rebuilt, reused and resized
-// exactly as in a simulation; the reference keeps its own scratch the
-// same way. Like Sim, the runner calls Reindex whenever the network or
-// the active set (by job identity and order) differs from the last
-// call's.
+// sizes — so its incidence index is kept, reused and resized exactly as
+// in a simulation; the reference keeps its own scratch the same way.
+// Like Sim, the runner reports every change of the active set (by job
+// identity and order) to the index as leaves and joins; when the network
+// changes it calls Reindex instead, so the next call rebuilds the index.
+// After every call the index must equal one built from scratch.
 type diffRunner struct {
 	t      testing.TB
 	sc     AllocScratch
@@ -36,10 +38,12 @@ type diffRunner struct {
 func (d *diffRunner) check(nw *Network, active []*Job) {
 	d.t.Helper()
 	d.calls++
-	if nw != d.nw || !slices.Equal(active, d.active) {
+	if nw != d.nw {
 		d.sc.Reindex()
-		d.nw, d.active = nw, slices.Clone(active)
+	} else {
+		d.sc.inc.apply(indexMoves(d.active, active))
 	}
+	d.nw, d.active = nw, slices.Clone(active)
 	want := make([]units.Rate, len(active))
 	got := make([]units.Rate, len(active))
 	for i := range got {
@@ -47,8 +51,10 @@ func (d *diffRunner) check(nw *Network, active []*Job) {
 	}
 	refAllocateNetworkInto(nw, active, want, &d.ref)
 	MaxMin{}.AllocateNetworkInto(nw, active, got, &d.sc)
-	if len(active) > 0 && !d.sc.inc.matches(active) {
-		d.t.Fatalf("call %d: the incidence index does not match the active paths", d.calls)
+	if len(active) > 0 || d.sc.inc.built { // an empty set leaves a stale index stale
+		if err := indexMatches(&d.sc.inc, nw.Capacities, active); err != nil {
+			d.t.Fatalf("call %d: %v", d.calls, err)
+		}
 	}
 	for i, j := range active {
 		if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
@@ -61,6 +67,219 @@ func (d *diffRunner) check(nw *Network, active []*Job) {
 				d.calls, i, j.Spec.Label(), j.Path, d.sc.Bottleneck[i], d.ref.bottleneck[i])
 		}
 	}
+}
+
+// indexMove is one change of an indexed active set, as Sim reports it:
+// a join of path at position i, or the leave of position i.
+type indexMove struct {
+	join bool
+	i    int
+	path []int
+}
+
+// indexMoves returns the leaves and joins that turn the index of the
+// active set from into the index of to: the members of from that are not
+// in a common subsequence of the two leave, last first, then every
+// member of to outside it joins at its position, first first.
+func indexMoves(from, to []*Job) []indexMove {
+	kept := make(map[*Job]bool)
+	q := 0
+	for _, j := range to {
+		for k := q; k < len(from); k++ {
+			if from[k] == j {
+				kept[j], q = true, k+1
+				break
+			}
+		}
+	}
+	var moves []indexMove
+	for i := len(from) - 1; i >= 0; i-- {
+		if !kept[from[i]] {
+			moves = append(moves, indexMove{i: i})
+		}
+	}
+	for i, j := range to {
+		if !kept[j] {
+			moves = append(moves, indexMove{join: true, i: i, path: j.Path})
+		}
+	}
+	return moves
+}
+
+// apply reports the moves to ix.
+func (ix *incidence) apply(moves []indexMove) {
+	for _, m := range moves {
+		if m.join {
+			ix.join(m.i, m.path)
+		} else {
+			ix.leave(m.i)
+		}
+	}
+}
+
+// compView is one component of an incidence index in a canonical form:
+// its links ascending, each link's row (the flows crossing it, in row
+// order), its flow count and its uniform flag.
+type compView struct {
+	Links   []int
+	Rows    [][]int32
+	Flows   int
+	Uniform bool
+}
+
+// view renders the index's components, ordered by lowest link. It also
+// checks the bookkeeping the rendering does not show: every link of a
+// component is labelled with it and listed once in ascending order, the
+// rows are in flow order and hold only indexed flows, a link outside
+// every component has an empty row, and the free crossings are unused.
+func (ix *incidence) view() ([]compView, error) {
+	comps := make([]compView, len(ix.compHead))
+	owned, live := 0, 0
+	for c := range ix.compHead {
+		cv := &comps[c]
+		cv.Flows, cv.Uniform = int(ix.compFlows[c]), ix.uniform[c]
+		flows := map[int32]bool{}
+		for l := ix.compHead[c]; l >= 0; l = ix.linkNext[l] {
+			if n := len(cv.Links); n > 0 && int(l) <= cv.Links[n-1] {
+				return nil, fmt.Errorf("component %d lists link %d after link %d", c, l, cv.Links[n-1])
+			}
+			if ix.compOf[l] != int32(c) {
+				return nil, fmt.Errorf("link %d is in component %d's list but labelled %d", l, c, ix.compOf[l])
+			}
+			var row []int32
+			for x := ix.rowHead[l]; x >= 0; x = ix.xs[x].next {
+				f := ix.xs[x].flow
+				if f < 0 || int(f) >= len(ix.paths) || (len(row) > 0 && f < row[len(row)-1]) {
+					return nil, fmt.Errorf("link %d's row %v then flow %d: not ascending indexed flows", l, row, f)
+				}
+				row = append(row, f)
+				flows[f] = true
+			}
+			if len(row) == 0 {
+				return nil, fmt.Errorf("component %d holds link %d, which no flow crosses", c, l)
+			}
+			cv.Links = append(cv.Links, int(l))
+			cv.Rows = append(cv.Rows, row)
+			live += len(row)
+		}
+		if len(flows) != cv.Flows {
+			return nil, fmt.Errorf("component %d counts %d flows, its rows hold %d", c, cv.Flows, len(flows))
+		}
+		owned += len(cv.Links)
+	}
+	for l, c := range ix.compOf[:len(ix.caps)] {
+		if c >= 0 {
+			owned--
+		} else if ix.rowHead[l] >= 0 {
+			return nil, fmt.Errorf("link %d is in no component but has a row", l)
+		}
+	}
+	if owned != 0 {
+		return nil, fmt.Errorf("component labels and component lists disagree by %d links", owned)
+	}
+	for x := ix.free; x >= 0; x = ix.xs[x].next {
+		if ix.xs[x].flow != -1 {
+			return nil, fmt.Errorf("free crossing %d still names flow %d", x, ix.xs[x].flow)
+		}
+		live++
+	}
+	if live != len(ix.xs) {
+		return nil, fmt.Errorf("%d crossings in rows or free, %d allocated", live, len(ix.xs))
+	}
+	slices.SortFunc(comps, func(a, b compView) int { return a.Links[0] - b.Links[0] })
+	return comps, nil
+}
+
+// refIndexView computes the canonical components of the active paths
+// directly: a union-find over the links each flow crosses, rows in
+// active order, and the uniform rule on single-flow components.
+func refIndexView(caps []units.Rate, active []*Job) []compView {
+	parent := make([]int, len(caps))
+	for l := range parent {
+		parent[l] = l
+	}
+	root := func(l int) int {
+		for parent[l] != l {
+			l = parent[l]
+		}
+		return l
+	}
+	rows := make([][]int32, len(caps))
+	for i, j := range active {
+		for _, l := range j.Path {
+			rows[l] = append(rows[l], int32(i))
+			if a, b := root(j.Path[0]), root(l); a != b {
+				parent[max(a, b)] = min(a, b)
+			}
+		}
+	}
+	byRoot := map[int]int{}
+	var comps []compView
+	for l, row := range rows {
+		if len(row) == 0 {
+			continue
+		}
+		c, ok := byRoot[root(l)]
+		if !ok {
+			c = len(comps)
+			byRoot[root(l)] = c
+			comps = append(comps, compView{Uniform: true})
+		}
+		cv := &comps[c]
+		cv.Links = append(cv.Links, l)
+		cv.Rows = append(cv.Rows, row)
+		cv.Uniform = cv.Uniform && len(row) == 1 && math.Float64bits(float64(caps[l])) == math.Float64bits(float64(caps[cv.Links[0]]))
+	}
+	for c := range comps {
+		flows := map[int32]bool{}
+		for _, row := range comps[c].Rows {
+			for _, f := range row {
+				flows[f] = true
+			}
+		}
+		comps[c].Flows = len(flows)
+		comps[c].Uniform = comps[c].Uniform && len(flows) == 1
+	}
+	return comps
+}
+
+// sameView reports whether two renderings hold the same components.
+func sameView(a, b []compView) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
+}
+
+// indexMatches checks that ix is the index of the active paths on a
+// network with the given capacities: the same paths, and the same
+// components as refIndexView and as a from-scratch rebuild.
+func indexMatches(ix *incidence, caps []units.Rate, active []*Job) error {
+	if !ix.built {
+		return fmt.Errorf("the index is stale")
+	}
+	if len(ix.paths) != len(active) {
+		return fmt.Errorf("the index holds %d flows, the active set %d", len(ix.paths), len(active))
+	}
+	for i, j := range active {
+		if !slices.Equal(ix.paths[i], j.Path) {
+			return fmt.Errorf("flow %d: indexed path %v, active path %v", i, ix.paths[i], j.Path)
+		}
+	}
+	got, err := ix.view()
+	if err != nil {
+		return err
+	}
+	if want := refIndexView(caps, active); !sameView(got, want) {
+		return fmt.Errorf("index components\n got  %+v\n want %+v", got, want)
+	}
+	var fresh AllocScratch
+	fresh.rebuild(caps, active)
+	rebuilt, err := fresh.inc.view()
+	if err != nil {
+		return fmt.Errorf("rebuilt index: %v", err)
+	}
+	if !sameView(got, rebuilt) {
+		return fmt.Errorf("index components\n got     %+v\n rebuilt %+v", got, rebuilt)
+	}
+	return nil
 }
 
 // diffKinds is the number of weight kinds diffJob distinguishes; random
@@ -91,27 +310,6 @@ func diffJob(name string, kind int, path []int) *Job {
 	}
 	j.Agg = &f
 	return j
-}
-
-// matches reports whether the incidence index was built for these
-// active paths, comparing them by value: every path, mapped back from
-// link positions to link ids, must equal the job's Path.
-func (ix *incidence) matches(active []*Job) bool {
-	if !ix.built || len(active)+1 != len(ix.pathOff) {
-		return false
-	}
-	for i, j := range active {
-		hops := ix.hops[ix.pathOff[i]:ix.pathOff[i+1]]
-		if len(hops) != len(j.Path) {
-			return false
-		}
-		for p, l := range j.Path {
-			if ix.links[hops[p]] != l {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // setProgress sets the fraction of the iteration's bytes delivered, which
@@ -377,9 +575,10 @@ func FuzzMaxMinMatchesReference(f *testing.F) {
 }
 
 // TestMaxMinReservedScratchAllocatesNothing pins the scratch sizing: once
-// reserved for the job count, the total path length and the link count,
-// as Sim.New does, the allocator rebuilds its index for every new active
-// set, from the first call on, without allocating.
+// reserved for the link capacities, the job count and the total path
+// length, as Sim.New does, neither rebuilding the index for every new
+// active set (Reindex) nor moving it there by joins and leaves
+// allocates, from the first call on.
 func TestMaxMinReservedScratchAllocatesNothing(t *testing.T) {
 	rng := sim.NewRNGAt(29, 0)
 	nw, pool := randomDiffFabric(rng, 40)
@@ -388,7 +587,7 @@ func TestMaxMinReservedScratchAllocatesNothing(t *testing.T) {
 		hops += len(j.Path)
 	}
 	// Sixteen sets, each differing from the one before, growing to the
-	// whole pool last.
+	// whole pool last, then shrinking to nothing by the same steps.
 	sets := make([][]*Job, 16)
 	for s := range sets {
 		for k, j := range pool {
@@ -397,9 +596,18 @@ func TestMaxMinReservedScratchAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
+	for s := len(sets) - 2; s >= 0; s-- {
+		sets = append(sets, sets[s])
+	}
+	sets = append(sets, nil)
 	rates := make([]units.Rate, len(pool))
 	var sc AllocScratch
-	sc.reserve(len(pool), hops, len(nw.Capacities))
+	sc.reserve(nw.Capacities, len(pool), hops)
+	moves := make([][]indexMove, len(sets))
+	var prev []*Job
+	for s, active := range sets {
+		moves[s], prev = indexMoves(prev, active), active
+	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
@@ -412,15 +620,31 @@ func TestMaxMinReservedScratchAllocatesNothing(t *testing.T) {
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Fatalf("AllocateNetworkInto on a reserved scratch: %d allocations over %d index rebuilds, want 0", n, len(sets))
 	}
+
+	sc.reserve(nw.Capacities, len(pool), hops) // an empty index, kept from here on
+	runtime.ReadMemStats(&before)
+	for s, active := range sets {
+		sc.inc.apply(moves[s])
+		MaxMin{}.AllocateNetworkInto(nw, active, rates[:len(active)], &sc)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("joins, leaves and AllocateNetworkInto on a reserved scratch: %d allocations over %d active sets, want 0", n, len(sets))
+	}
+	if err := indexMatches(&sc.inc, nw.Capacities, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestSimReindexContract pins the invalidation contract on a churny
-// fabric run: a k=8 fat-tree with 48 jobs arriving as a Poisson process
-// and leaving after a few iterations, the fabric benchmark's shape.
-// After every 1ms step the cached incidence index, unless marked stale,
-// must be the index of the current active paths, compared by value. A
-// Sim that changes its active set without calling Reindex fails here,
-// not as a silently wrong rate.
+// TestSimReindexContract pins the join/leave contract on a churny fabric
+// run: a k=8 fat-tree with 48 jobs arriving as a Poisson process and
+// leaving after a few iterations, the fabric benchmark's shape. After
+// every 1ms step the incidence index Sim keeps by joins and leaves must
+// equal a from-scratch build over the current active paths: the same
+// components (link sets, rows in order) and the same uniform flags. A
+// Sim that changes its active set without reporting it, or an update
+// that skips a merge or a re-split, fails here, not as a silently wrong
+// rate.
 func TestSimReindexContract(t *testing.T) {
 	fab := netsim.NewFatTree(8, 100*units.Gbps, 100*units.Gbps)
 	caps := make([]units.Rate, len(fab.Links()))
@@ -458,11 +682,8 @@ func TestSimReindexContract(t *testing.T) {
 	checked, sizes := 0, map[int]bool{}
 	for s.Now() < 10*sim.Second {
 		s.Run(s.Now() + sim.Millisecond)
-		if !s.scratch.inc.built {
-			continue
-		}
-		if !s.scratch.inc.matches(s.active) {
-			t.Fatalf("at %v: the incidence index is not the index of the %d active paths", s.Now(), len(s.active))
+		if err := indexMatches(&s.scratch.inc, caps, s.active); err != nil {
+			t.Fatalf("at %v, %d active: %v", s.Now(), len(s.active), err)
 		}
 		checked++
 		sizes[len(s.active)] = true

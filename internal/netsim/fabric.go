@@ -78,8 +78,11 @@ type Fabric struct {
 	racks [][]int // racks[r] = host node IDs in rack r
 	edges []int   // edges[r] = rack r's edge-switch node ID
 
-	// linkFrom[from][to] = link ID, for path assembly.
-	linkFrom map[int]map[int]int
+	// out[n] lists the IDs of the links leaving node n, for path
+	// assembly. Each list is carved from outBuf with its node's degree as
+	// capacity, so adding a link never allocates.
+	out    [][]int32
+	outBuf []int32
 
 	// Fat-tree shape (k == 0 for leaf-spine).
 	k     int
@@ -118,15 +121,29 @@ func (f *Fabric) CountByRole(role Role) int {
 	return n
 }
 
-// node allocates a node and returns its ID.
-func (f *Fabric) node(name string, role Role, pod, rack int) int {
+// reserve presizes the node and link tables for a fabric of the given
+// size.
+func (f *Fabric) reserve(nodes, links int) {
+	f.nodes = make([]FabricNode, 0, nodes)
+	f.out = make([][]int32, 0, nodes)
+	f.links = make([]FabricLink, 0, links)
+	f.outBuf = make([]int32, 0, links)
+}
+
+// node allocates a node with room for degree outgoing links and returns
+// its ID.
+func (f *Fabric) node(name string, role Role, pod, rack, degree int) int {
 	id := len(f.nodes)
 	f.nodes = append(f.nodes, FabricNode{ID: id, Name: name, Role: role, Pod: pod, Rack: rack})
+	lo := len(f.outBuf)
+	f.outBuf = f.outBuf[:lo+degree]
+	f.out = append(f.out, f.outBuf[lo:lo:lo+degree])
 	return id
 }
 
-// connect adds the two directed links of one cable and returns nothing;
-// paths look links up via linkFrom.
+// connect adds the two directed links of one cable, a->b then b->a, so
+// every cable's links have IDs 2m and 2m+1: each is the other's ID with
+// the low bit flipped.
 func (f *Fabric) connect(a, b int, rate units.Rate) {
 	f.addLink(a, b, rate)
 	f.addLink(b, a, rate)
@@ -136,26 +153,34 @@ func (f *Fabric) addLink(from, to int, rate units.Rate) {
 	id := len(f.links)
 	name := f.nodes[from].Name + "->" + f.nodes[to].Name
 	f.links = append(f.links, FabricLink{ID: id, Name: name, From: from, To: to, Capacity: rate})
-	if f.linkFrom == nil {
-		f.linkFrom = make(map[int]map[int]int)
-	}
-	m := f.linkFrom[from]
-	if m == nil {
-		m = make(map[int]int)
-		f.linkFrom[from] = m
-	}
-	m[to] = id
+	f.out[from] = append(f.out[from], int32(id))
 }
 
 // linkID returns the directed link from -> to, panicking if absent (a
-// programming error in path assembly, not a user input).
+// programming error in path assembly, not a user input). It scans the
+// shorter of the two nodes' link lists: a spine's list is as long as
+// the leaf count.
 func (f *Fabric) linkID(from, to int) int {
-	id, ok := f.linkFrom[from][to]
-	if !ok {
-		panic(fmt.Sprintf("netsim: fabric %s has no link %s->%s",
-			f.Kind, f.nodes[from].Name, f.nodes[to].Name))
+	if len(f.out[to]) < len(f.out[from]) {
+		if id := f.outLink(to, from); id >= 0 {
+			return id ^ 1 // the cable's other direction
+		}
+	} else if id := f.outLink(from, to); id >= 0 {
+		return id
 	}
-	return id
+	panic(fmt.Sprintf("netsim: fabric %s has no link %s->%s",
+		f.Kind, f.nodes[from].Name, f.nodes[to].Name))
+}
+
+// outLink returns the ID of the link from -> to among from's links, or
+// -1.
+func (f *Fabric) outLink(from, to int) int {
+	for _, id := range f.out[from] {
+		if f.links[id].To == to {
+			return int(id)
+		}
+	}
+	return -1
 }
 
 // NewFatTree builds the classic k-ary fat-tree (Al-Fares et al.): k pods,
@@ -173,6 +198,13 @@ func NewFatTree(k int, hostRate, linkRate units.Rate) *Fabric {
 	}
 	half := k / 2
 	f := &Fabric{Kind: fmt.Sprintf("fattree-%d", k), k: k, hostRate: hostRate, linkRate: linkRate}
+	hosts := k * k * k / 4
+	// Cores, aggregation and edge switches, then hosts; three cables per
+	// host (host-edge, edge-agg, agg-core), two links per cable.
+	f.reserve(half*half+k*k+hosts, 6*hosts)
+	f.hosts = make([]int, 0, hosts)
+	f.edges = make([]int, 0, k*half)
+	f.racks = make([][]int, 0, k*half)
 
 	// Core layer: k/2 groups of k/2 switches. Group a serves aggregation
 	// switch a of every pod.
@@ -180,7 +212,7 @@ func NewFatTree(k int, hostRate, linkRate units.Rate) *Fabric {
 	for a := 0; a < half; a++ {
 		f.cores[a] = make([]int, half)
 		for o := 0; o < half; o++ {
-			f.cores[a][o] = f.node(fmt.Sprintf("core%d.%d", a, o), RoleCore, -1, -1)
+			f.cores[a][o] = f.node(fmt.Sprintf("core%d.%d", a, o), RoleCore, -1, -1, k)
 		}
 	}
 
@@ -188,15 +220,15 @@ func NewFatTree(k int, hostRate, linkRate units.Rate) *Fabric {
 	for p := 0; p < k; p++ {
 		f.aggs[p] = make([]int, half)
 		for a := 0; a < half; a++ {
-			f.aggs[p][a] = f.node(fmt.Sprintf("agg%d.%d", p, a), RoleAgg, p, -1)
+			f.aggs[p][a] = f.node(fmt.Sprintf("agg%d.%d", p, a), RoleAgg, p, -1, k)
 		}
 		for e := 0; e < half; e++ {
 			rack := p*half + e
-			edge := f.node(fmt.Sprintf("tor%d", rack), RoleEdge, p, rack)
+			edge := f.node(fmt.Sprintf("tor%d", rack), RoleEdge, p, rack, k)
 			f.edges = append(f.edges, edge)
-			f.racks = append(f.racks, nil)
+			f.racks = append(f.racks, make([]int, 0, half))
 			for h := 0; h < half; h++ {
-				host := f.node(fmt.Sprintf("host%d", len(f.hosts)), RoleHost, p, rack)
+				host := f.node(fmt.Sprintf("host%d", len(f.hosts)), RoleHost, p, rack, 1)
 				f.hosts = append(f.hosts, host)
 				f.racks[rack] = append(f.racks[rack], host)
 				f.connect(host, edge, hostRate)
@@ -230,15 +262,21 @@ func NewLeafSpine(leaves, spines, hostsPerLeaf int, hostRate, linkRate units.Rat
 		Kind:     fmt.Sprintf("leafspine-%dx%dx%d", leaves, spines, hostsPerLeaf),
 		hostRate: hostRate, linkRate: linkRate,
 	}
+	hosts := leaves * hostsPerLeaf
+	f.reserve(spines+leaves+hosts, 2*(hosts+leaves*spines))
+	f.spines = make([]int, 0, spines)
+	f.hosts = make([]int, 0, hosts)
+	f.edges = make([]int, 0, leaves)
+	f.racks = make([][]int, 0, leaves)
 	for s := 0; s < spines; s++ {
-		f.spines = append(f.spines, f.node(fmt.Sprintf("spine%d", s), RoleCore, -1, -1))
+		f.spines = append(f.spines, f.node(fmt.Sprintf("spine%d", s), RoleCore, -1, -1, leaves))
 	}
 	for r := 0; r < leaves; r++ {
-		edge := f.node(fmt.Sprintf("tor%d", r), RoleEdge, -1, r)
+		edge := f.node(fmt.Sprintf("tor%d", r), RoleEdge, -1, r, hostsPerLeaf+spines)
 		f.edges = append(f.edges, edge)
-		f.racks = append(f.racks, nil)
+		f.racks = append(f.racks, make([]int, 0, hostsPerLeaf))
 		for h := 0; h < hostsPerLeaf; h++ {
-			host := f.node(fmt.Sprintf("host%d", len(f.hosts)), RoleHost, -1, r)
+			host := f.node(fmt.Sprintf("host%d", len(f.hosts)), RoleHost, -1, r, 1)
 			f.hosts = append(f.hosts, host)
 			f.racks[r] = append(f.racks[r], host)
 			f.connect(host, edge, hostRate)
