@@ -338,7 +338,7 @@ func noise() {
 }
 
 func fairness() {
-	res := experiments.Fairness()
+	res := experiments.Fairness(60 * sim.Second)
 	fmt.Println("§5 fairness: single-flow goodput vs loss probability (Mbps)")
 	var rows [][]string
 	for i, p := range res.LossProbs {
@@ -380,7 +380,7 @@ func multiRes() {
 }
 
 func sweep() {
-	pts := experiments.SlopeInterceptSweepWorkers(10*sim.Millisecond, *workers)
+	pts := experiments.SlopeInterceptSweep(10*sim.Millisecond, *workers)
 	fmt.Println("ablation: Equation 2 constants vs convergence (3 GPT-2 jobs, 10ms noise)")
 	var rows [][]string
 	for _, p := range pts {
@@ -399,7 +399,7 @@ func sweep() {
 }
 
 func scale() {
-	pts := experiments.ScalabilityWorkers(nil, *workers)
+	pts := experiments.Scalability(nil, *workers)
 	fmt.Println("scalability: centralized optimizer cost vs MLTCP distributed convergence")
 	var rows [][]string
 	for _, p := range pts {
@@ -441,7 +441,7 @@ func mixed() {
 }
 
 func robust() {
-	pts := experiments.NoiseRobustnessWorkers(nil, 0, *workers)
+	pts := experiments.NoiseRobustness(nil, 0, *workers)
 	fmt.Println("robustness: static centralized schedule vs MLTCP under compute noise")
 	var rows [][]string
 	for _, p := range pts {

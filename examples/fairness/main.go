@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	res := experiments.FairnessWithHorizon(30 * sim.Second)
+	res := experiments.Fairness(30 * sim.Second)
 
 	fmt.Println("single flow over a lossy 100 Mbps link (goodput, Mbps):")
 	var rows [][]string

@@ -46,42 +46,11 @@ const (
 // with tiny compute phases still get a positive boundary detector.
 const minTrackerGap = 50 * sim.Millisecond
 
-// pktJob drives one sender through the compute/communicate loop and
-// records phase boundaries.
+// pktJob is one job's compute/communicate driver plus its optional
+// congestion-window trace.
 type pktJob struct {
-	sender   *tcp.Sender
-	bytes    int64
-	compute  sim.Time
-	noise    sim.Time
-	rng      *sim.RNG
-	trace    *tcp.CwndTrace
-	rec      *telemetry.Recorder
-	flow     int
-	maxIters int
-
-	starts, ends []sim.Time
-}
-
-func (p *pktJob) start(eng *sim.Engine, offset sim.Time) {
-	p.sender.Drained(func(now sim.Time) {
-		p.ends = append(p.ends, now)
-		p.rec.IterEnd(now, p.flow, len(p.ends)-1, now-p.starts[len(p.ends)-1])
-		if p.maxIters > 0 && len(p.ends) >= p.maxIters {
-			return // the job departs after its configured iteration budget
-		}
-		compute := p.compute
-		if p.noise > 0 {
-			compute = p.rng.NormDuration(compute, p.noise, 0)
-		}
-		eng.After(compute, func(e *sim.Engine) { p.begin(e) })
-	})
-	eng.At(offset, func(e *sim.Engine) { p.begin(e) })
-}
-
-func (p *pktJob) begin(eng *sim.Engine) {
-	p.starts = append(p.starts, eng.Now())
-	p.rec.IterStart(eng.Now(), p.flow, len(p.starts)-1)
-	p.sender.Write(p.bytes)
+	tcp.Job
+	trace *tcp.CwndTrace
 }
 
 // Run implements Backend.
@@ -163,16 +132,16 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 		}
 		f := tcp.NewFlow(eng, netsim.FlowID(i+1), net.Left[i], net.Right[i],
 			cc, tcp.Config{ECN: ecn, Trace: rec})
-		jobs[i] = &pktJob{
-			sender:   f.Sender,
-			bytes:    bytes,
-			compute:  spec.Profile.ComputeTime,
-			noise:    spec.NoiseStd,
-			rng:      sim.NewRNG(jobSeed(seed, spec)),
-			rec:      rec,
-			flow:     i + 1,
-			maxIters: spec.MaxIterations,
-		}
+		jobs[i] = &pktJob{Job: tcp.Job{
+			Sender:   f.Sender,
+			Bytes:    bytes,
+			Compute:  spec.Profile.ComputeTime,
+			Noise:    spec.NoiseStd,
+			RNG:      sim.NewRNG(jobSeed(seed, spec)),
+			MaxIters: spec.MaxIterations,
+			Rec:      rec,
+			Flow:     i + 1,
+		}}
 		if cwndEvery > 0 {
 			jobs[i].trace = tcp.SampleCwnd(f.Sender, cwndEvery)
 		}
@@ -180,7 +149,7 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 		if offsets != nil {
 			off = offsets[i]
 		}
-		jobs[i].start(eng, off)
+		jobs[i].Start(eng, off)
 	}
 
 	if rec.Enabled() {
@@ -190,8 +159,8 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 				Flow:         i + 1,
 				Name:         spec.Label(),
 				Profile:      spec.Profile.Name,
-				IdealNS:      int64(spec.Profile.ComputeTime + bottleneck.TransmissionTime(jobs[i].bytes)),
-				BytesPerIter: jobs[i].bytes,
+				IdealNS:      int64(spec.Profile.ComputeTime + bottleneck.TransmissionTime(jobs[i].Bytes)),
+				BytesPerIter: jobs[i].Bytes,
 			}
 		}
 		rec.SetManifest(newManifest(&s, b.Name(), seed, bottleneck, scale, mjobs))
@@ -229,17 +198,15 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 			Profile: spec.Profile.Name,
 			// Packet scaling preserves the unscaled ideal: bytes×scale
 			// over capacity×scale plus the unscaled compute phase.
-			Ideal:          spec.Profile.ComputeTime + bottleneck.TransmissionTime(j.bytes),
-			BytesPerIter:   j.bytes,
-			DeliveredBytes: j.sender.TotalBytesAcked(),
-			CommStarts:     j.starts,
-			CommEnds:       j.ends,
+			Ideal:          spec.Profile.ComputeTime + bottleneck.TransmissionTime(j.Bytes),
+			BytesPerIter:   j.Bytes,
+			DeliveredBytes: j.Sender.TotalBytesAcked(),
+			CommStarts:     j.Starts,
+			CommEnds:       j.Ends,
+			IterTimes:      j.IterTimes(),
 		}
-		for k := 1; k < len(j.starts); k++ {
-			jr.IterTimes = append(jr.IterTimes, j.starts[k]-j.starts[k-1])
-		}
-		for k := range j.ends {
-			jr.FCTs = append(jr.FCTs, j.ends[k]-j.starts[k])
+		for k := range j.Ends {
+			jr.FCTs = append(jr.FCTs, j.Ends[k]-j.Starts[k])
 		}
 		if j.trace != nil {
 			jr.CwndTrace = j.trace.Values()

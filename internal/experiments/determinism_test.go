@@ -15,8 +15,8 @@ import (
 
 func TestSlopeInterceptSweepDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
-	serial := SlopeInterceptSweepWorkers(10*sim.Millisecond, 1)
-	parallel := SlopeInterceptSweepWorkers(10*sim.Millisecond, 8)
+	serial := SlopeInterceptSweep(10*sim.Millisecond, 1)
+	parallel := SlopeInterceptSweep(10*sim.Millisecond, 8)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("workers=1 and workers=8 diverge:\n serial:   %+v\n parallel: %+v", serial, parallel)
 	}
@@ -33,8 +33,8 @@ func TestScalabilityDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return pts
 	}
-	serial := normalize(ScalabilityWorkers([]int{2, 4, 6}, 1))
-	parallel := normalize(ScalabilityWorkers([]int{2, 4, 6}, 8))
+	serial := normalize(Scalability([]int{2, 4, 6}, 1))
+	parallel := normalize(Scalability([]int{2, 4, 6}, 8))
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("workers=1 and workers=8 diverge:\n serial:   %+v\n parallel: %+v", serial, parallel)
 	}
@@ -63,8 +63,8 @@ func TestFCTGridDeterministicAcrossWorkers(t *testing.T) {
 func TestNoiseRobustnessDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	sigmas := []sim.Time{0, 20 * sim.Millisecond}
-	serial := NoiseRobustnessWorkers(sigmas, 120*sim.Second, 1)
-	parallel := NoiseRobustnessWorkers(sigmas, 120*sim.Second, 8)
+	serial := NoiseRobustness(sigmas, 120*sim.Second, 1)
+	parallel := NoiseRobustness(sigmas, 120*sim.Second, 8)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("workers=1 and workers=8 diverge:\n serial:   %+v\n parallel: %+v", serial, parallel)
 	}

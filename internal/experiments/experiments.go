@@ -1,6 +1,5 @@
 // Package experiments implements one harness per figure and claim of the
-// paper's evaluation, shared by cmd/mltcp-figures (which prints them) and
-// the repository's benchmarks (which regenerate them under go test -bench).
+// paper's evaluation, printed by cmd/mltcp-figures and internal/report.
 // Each harness returns structured results; integration tests in this
 // package assert the paper's qualitative shapes (who wins, by what factor).
 package experiments

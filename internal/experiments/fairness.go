@@ -67,14 +67,6 @@ func fairnessNet(eng *sim.Engine, pairs int, lossProb float64, seed uint64) *net
 	return d
 }
 
-// iterate drives a sender through the periodic write/compute loop.
-func iterate(eng *sim.Engine, s *tcp.Sender, iterBytes int64, comp sim.Time) {
-	s.Drained(func(now sim.Time) {
-		eng.After(comp, func(*sim.Engine) { s.Write(iterBytes) })
-	})
-	s.Write(iterBytes)
-}
-
 func mltcpCC() tcp.CongestionControl {
 	return core.Wrap(tcp.NewReno(), core.Default(),
 		core.NewTracker(fairnessIterBytes, fairnessComp/2))
@@ -95,12 +87,9 @@ func singleFlowGoodput(cc tcp.CongestionControl, lossProb float64, seed uint64, 
 	return float64(f.Sender.TotalBytesAcked()) * 8 / horizon.Seconds() / 1e6
 }
 
-// Fairness regenerates the §5 fairness analysis with the default horizon.
-func Fairness() FairnessResult { return FairnessWithHorizon(60 * sim.Second) }
-
-// FairnessWithHorizon runs the fairness experiment with a custom per-run
-// horizon (shorter horizons trade precision for speed in tests).
-func FairnessWithHorizon(horizon sim.Time) FairnessResult {
+// Fairness regenerates the §5 fairness analysis with the given per-run
+// horizon (shorter horizons trade precision for speed).
+func Fairness(horizon sim.Time) FairnessResult {
 	res := FairnessResult{LossProbs: []float64{0.002, 0.004, 0.008, 0.016, 0.032}}
 	for i, p := range res.LossProbs {
 		seed := uint64(100 + i) // distinct root seed per loss-probability point

@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"mltcp/internal/core"
 	"mltcp/internal/metrics"
 	"mltcp/internal/netsim"
 	"mltcp/internal/sim"
 	"mltcp/internal/tcp"
-	"mltcp/internal/units"
 	"mltcp/internal/workload"
 )
 
@@ -33,22 +33,16 @@ type MixedTrafficResult struct {
 func MixedTraffic(load float64, horizon sim.Time, seed uint64) MixedTrafficResult {
 	eng := sim.New()
 	// Two job pairs plus two pairs carrying background traffic.
-	net := netsim.NewDumbbell(eng, netsim.DumbbellConfig{
-		HostPairs:       4,
-		HostRate:        5 * units.Gbps,
-		BottleneckRate:  plRate,
-		HostDelay:       10 * sim.Microsecond,
-		BottleneckDelay: 30 * sim.Microsecond,
-	})
+	net := plDumbbell(eng, 4)
 
-	profile := ScaledGPT2()
+	profile := scaledGPT2()
 	bytes := int64(profile.CommBytes)
-	jobs := make([]*packetJob, 2)
+	jobs := make([]*tcp.Job, 2)
 	for i := range jobs {
-		f := tcp.NewFlow(eng, netsim.FlowID(i+1), net.Left[i], net.Right[i],
-			MLTCPRenoFactory(400*sim.Millisecond)(bytes), tcp.Config{})
-		jobs[i] = &packetJob{sender: f.Sender, bytes: bytes, compute: profile.ComputeTime}
-		jobs[i].start(eng, sim.Time(i)*StaggerOffset)
+		cc := core.Wrap(tcp.NewReno(), core.Default(), core.NewTracker(bytes, 400*sim.Millisecond))
+		f := tcp.NewFlow(eng, netsim.FlowID(i+1), net.Left[i], net.Right[i], cc, tcp.Config{})
+		jobs[i] = &tcp.Job{Sender: f.Sender, Bytes: bytes, Compute: profile.ComputeTime}
+		jobs[i].Start(eng, sim.Time(i)*StaggerOffset)
 	}
 
 	// Background: websearch flows between pairs 2 and 3.
@@ -82,20 +76,11 @@ func MixedTraffic(load float64, horizon sim.Time, seed uint64) MixedTrafficResul
 	eng.RunUntil(horizon + 10*sim.Second)
 
 	res := MixedTrafficResult{
-		JobIdeal:       profile.ComputeTime + plRate.TransmissionTime(bytes),
+		JobIdeal:       plIdeal(profile),
 		BackgroundLoad: load,
 	}
 	for _, j := range jobs {
-		n := len(j.iterTimes)
-		var sum sim.Time
-		count := 0
-		for k := n - 10; k < n; k++ {
-			if k >= 0 {
-				sum += j.iterTimes[k]
-				count++
-			}
-		}
-		res.JobSteady = append(res.JobSteady, sum/sim.Time(count))
+		res.JobSteady = append(res.JobSteady, lastMean(j.IterTimes(), 10))
 	}
 	var short metrics.Series
 	res.BackgroundStarted = len(bg)

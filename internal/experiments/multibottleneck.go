@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"mltcp/internal/core"
 	"mltcp/internal/netsim"
 	"mltcp/internal/sim"
 	"mltcp/internal/tcp"
@@ -25,8 +26,9 @@ type MultiBottleneckResult struct {
 	Ideal sim.Time
 }
 
-// MultiBottleneck runs the parking-lot scenario at packet level.
-func MultiBottleneck(factory ccFactory, horizon sim.Time) MultiBottleneckResult {
+// MultiBottleneck runs the parking-lot scenario at packet level, every job
+// under MLTCP-Reno.
+func MultiBottleneck(horizon sim.Time) MultiBottleneckResult {
 	eng := sim.New()
 	p := netsim.NewParkingLot(eng, netsim.ParkingLotConfig{
 		Switches:       3,
@@ -36,7 +38,7 @@ func MultiBottleneck(factory ccFactory, horizon sim.Time) MultiBottleneckResult 
 		HostDelay:      10 * sim.Microsecond,
 		TrunkDelay:     30 * sim.Microsecond,
 	})
-	profile := ScaledGPT2()
+	profile := scaledGPT2()
 	bytes := int64(profile.CommBytes)
 
 	type route struct {
@@ -49,33 +51,21 @@ func MultiBottleneck(factory ccFactory, horizon sim.Time) MultiBottleneckResult 
 		{"crossB", p.Host(1, 2), p.Host(2, 2)},
 	}
 
-	res := MultiBottleneckResult{
-		Ideal: profile.ComputeTime + plRate.TransmissionTime(bytes),
-	}
-	jobs := make([]*packetJob, len(routes))
+	res := MultiBottleneckResult{Ideal: plIdeal(profile)}
+	jobs := make([]*tcp.Job, len(routes))
 	for i, r := range routes {
-		f := tcp.NewFlow(eng, netsim.FlowID(i+1), r.src, r.dst, factory(bytes), tcp.Config{})
-		jobs[i] = &packetJob{sender: f.Sender, bytes: bytes, compute: profile.ComputeTime}
-		jobs[i].start(eng, sim.Time(i)*StaggerOffset)
+		cc := core.Wrap(tcp.NewReno(), core.Default(), core.NewTracker(bytes, 400*sim.Millisecond))
+		f := tcp.NewFlow(eng, netsim.FlowID(i+1), r.src, r.dst, cc, tcp.Config{})
+		jobs[i] = &tcp.Job{Sender: f.Sender, Bytes: bytes, Compute: profile.ComputeTime}
+		jobs[i].Start(eng, sim.Time(i)*StaggerOffset)
 		res.Names = append(res.Names, r.name)
 	}
 	eng.RunUntil(horizon)
 
 	for _, j := range jobs {
-		res.IterTimes = append(res.IterTimes, j.iterTimes)
-		var sum sim.Time
-		count := 0
-		for k := len(j.iterTimes) - 10; k < len(j.iterTimes); k++ {
-			if k >= 0 {
-				sum += j.iterTimes[k]
-				count++
-			}
-		}
-		if count > 0 {
-			res.SteadyAvg = append(res.SteadyAvg, sum/sim.Time(count))
-		} else {
-			res.SteadyAvg = append(res.SteadyAvg, 0)
-		}
+		ts := j.IterTimes()
+		res.IterTimes = append(res.IterTimes, ts)
+		res.SteadyAvg = append(res.SteadyAvg, lastMean(ts, 10))
 	}
 	return res
 }

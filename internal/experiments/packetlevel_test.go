@@ -1,25 +1,35 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
-	"mltcp/internal/metrics"
+	"mltcp/internal/backend"
+	"mltcp/internal/config"
+	"mltcp/internal/core"
 	"mltcp/internal/netsim"
 	"mltcp/internal/sim"
 	"mltcp/internal/tcp"
-	"mltcp/internal/units"
 )
 
-func steadyMean(r PacketLevelResult, skip int) float64 {
-	var all metrics.Series
-	for _, ts := range r.IterTimes {
-		for i, d := range ts {
-			if i >= skip {
-				all = append(all, d.Seconds())
-			}
-		}
+// twoGPT2 is two GPT-2 jobs under policy for 60 s, rendered by
+// backend.Packet at the paper's 1/100 testbed scale.
+func twoGPT2(policy string) *config.Scenario {
+	return &config.Scenario{
+		Name:        "two-gpt2-" + policy,
+		Policy:      policy,
+		DurationSec: 60,
+		Jobs:        []config.Job{{Profile: "gpt2", Count: 2}},
 	}
-	return all.Mean()
+}
+
+func runPacket(t *testing.T, scn *config.Scenario) *backend.Result {
+	t.Helper()
+	res, err := (&backend.Packet{}).Run(context.Background(), scn, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // The flagship end-to-end validation: real MLTCP-Reno senders (Algorithm 1
@@ -27,32 +37,71 @@ func steadyMean(r PacketLevelResult, skip int) float64 {
 // four-job workload and hold near-ideal iteration times, while plain Reno
 // under identical noise degrades substantially. This is the packet-level
 // counterpart of the fluid results and the check that the fluid weighted-
-// share abstraction is faithful.
+// share abstraction is faithful. One noise draw decides how far Reno
+// drifts, so the claim is stated over a fixed set of eight replicas: MLTCP
+// within 8% of ideal and ahead of Reno on every replica, and Reno at least
+// 10% slow on average.
 func TestPacketLevelMLTCPBeatsRenoUnderNoise(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
-		t.Skip("packet-level run takes ~15s")
+		t.Skip("packet-level grid takes ~30s")
+	}
+	if raceEnabled {
+		// 16 single-goroutine packet runs take ~13 CPU-minutes under the
+		// detector; ScenarioGrid's concurrency is raced by
+		// TestScenarioGridDeterministicAcrossWorkers, and CI runs this
+		// test without -race.
+		t.Skip("packet-level grid is too slow under the race detector")
 	}
 	const (
-		horizon = 90 * sim.Second
-		noise   = 25 * sim.Millisecond
-		skip    = 15
+		replicas = 8
+		baseSeed = 1
+		skip     = 15
 	)
-	prof := TightProfile(0.22) // 4 jobs × 22% = 88% aggregate duty
-	ml := PacketLevelProfile(4, MLTCPRenoFactory(400*sim.Millisecond), "mltcp-reno", horizon, noise, prof)
-	reno := PacketLevelProfile(4, RenoFactory(), "reno", horizon, noise, prof)
-
-	ideal := ml.Ideal.Seconds()
-	mlMean := steadyMean(ml, skip)
-	renoMean := steadyMean(reno, skip)
-	if mlMean > ideal*1.08 {
-		t.Errorf("MLTCP steady mean %.3fs, want within 8%% of ideal %.3fs", mlMean, ideal)
+	// Four jobs at 22% duty of a 1.8 s period each (88% aggregate):
+	// 396 ms of communication at 50 Gbps and 1404 ms of compute, with
+	// 25 ms compute noise.
+	tight := func(policy string) []*backend.Result {
+		scn := &config.Scenario{
+			Name:        "tight-noisy-" + policy,
+			Policy:      policy,
+			DurationSec: 90,
+			Jobs:        []config.Job{{ComputeMS: 1404, CommMB: 2475, NoiseMS: 25, Count: 4}},
+		}
+		rs, err := ScenarioGrid(context.Background(), &backend.Packet{}, scn, replicas, baseSeed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
 	}
-	if renoMean < ideal*1.10 {
-		t.Errorf("Reno steady mean %.3fs unexpectedly near ideal %.3fs — no contrast", renoMean, ideal)
+	// slowdown is the mean of every job's iterations after the transient,
+	// over the ideal.
+	slowdown := func(r *backend.Result) float64 {
+		var sum float64
+		n := 0
+		for _, j := range r.Jobs {
+			for _, d := range j.IterTimes[min(skip, len(j.IterTimes)):] {
+				sum += d.Seconds()
+				n++
+			}
+		}
+		return sum / float64(n) / r.Jobs[0].Ideal.Seconds()
 	}
-	if mlMean >= renoMean {
-		t.Errorf("MLTCP (%.3fs) should beat Reno (%.3fs)", mlMean, renoMean)
+	ml, reno := tight("mltcp"), tight("reno")
+	var renoSum float64
+	for r := range ml {
+		m, rn := slowdown(ml[r]), slowdown(reno[r])
+		t.Logf("replica %d: mltcp %.3f×, reno %.3f× ideal", r, m, rn)
+		if m > 1.08 {
+			t.Errorf("replica %d: MLTCP steady mean %.3f× ideal, want within 8%%", r, m)
+		}
+		if m >= rn {
+			t.Errorf("replica %d: MLTCP (%.3f×) should beat Reno (%.3f×)", r, m, rn)
+		}
+		renoSum += rn
+	}
+	if mean := renoSum / replicas; mean < 1.10 {
+		t.Errorf("Reno mean steady slowdown %.3f× over %d replicas, want ≥ 1.10× — no contrast", mean, replicas)
 	}
 }
 
@@ -63,15 +112,43 @@ func TestPacketLevelMLTCPConvergesDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level run takes ~5s")
 	}
-	res := PacketLevel(2, MLTCPRenoFactory(400*sim.Millisecond), "mltcp-reno", 60*sim.Second, 0)
+	res := runPacket(t, twoGPT2("mltcp"))
 	if res.InterleavedAt < 0 || res.InterleavedAt > 20 {
 		t.Errorf("interleaved at %d, want within 20 iterations", res.InterleavedAt)
 	}
-	for i, avg := range res.SteadyAvg {
-		if diff := avg.Seconds()/res.Ideal.Seconds() - 1; diff > 0.02 || diff < -0.02 {
-			t.Errorf("job %d steady avg %v, want within 2%% of %v", i, avg, res.Ideal)
+	for i, j := range res.Jobs {
+		avg := lastMean(j.IterTimes, 10)
+		if diff := avg.Seconds()/j.Ideal.Seconds() - 1; diff > 0.02 || diff < -0.02 {
+			t.Errorf("job %d steady avg %v, want within 2%% of %v", i, avg, j.Ideal)
 		}
 	}
+}
+
+// runTwoGPT2 drives two scaled GPT-2 jobs for 60 s over the 1/100-scale
+// dumbbell, hand-built for what a Scenario does not describe: setup may
+// alter the links, newCC builds each flow's congestion control, and cfg
+// configures the transport. It returns each job's mean over its last 10
+// iterations and the ideal iteration time.
+func runTwoGPT2(setup func(*netsim.Dumbbell), newCC func(bytes int64) tcp.CongestionControl, cfg tcp.Config) ([]sim.Time, sim.Time) {
+	eng := sim.New()
+	net := plDumbbell(eng, 2)
+	if setup != nil {
+		setup(net)
+	}
+	profile := scaledGPT2()
+	bytes := int64(profile.CommBytes)
+	jobs := make([]*tcp.Job, 2)
+	for i := range jobs {
+		f := tcp.NewFlow(eng, netsim.FlowID(i+1), net.Left[i], net.Right[i], newCC(bytes), cfg)
+		jobs[i] = &tcp.Job{Sender: f.Sender, Bytes: bytes, Compute: profile.ComputeTime}
+		jobs[i].Start(eng, sim.Time(i)*StaggerOffset)
+	}
+	eng.RunUntil(60 * sim.Second)
+	var steady []sim.Time
+	for _, j := range jobs {
+		steady = append(steady, lastMean(j.IterTimes(), 10))
+	}
+	return steady, plIdeal(profile)
 }
 
 // Auto-learned TOTAL_BYTES/COMP_TIME must work as well as given parameters
@@ -81,10 +158,12 @@ func TestPacketLevelAutoLearnedParameters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level run takes ~5s")
 	}
-	res := PacketLevel(2, MLTCPRenoLearnedFactory(100*sim.Millisecond), "mltcp-reno-learned", 60*sim.Second, 0)
-	for i, avg := range res.SteadyAvg {
-		if diff := avg.Seconds()/res.Ideal.Seconds() - 1; diff > 0.03 || diff < -0.03 {
-			t.Errorf("job %d steady avg %v with learned params, want within 3%% of %v", i, avg, res.Ideal)
+	steady, ideal := runTwoGPT2(nil, func(int64) tcp.CongestionControl {
+		return core.Wrap(tcp.NewReno(), core.Default(), core.NewLearner(100*sim.Millisecond, 2))
+	}, tcp.Config{})
+	for i, avg := range steady {
+		if diff := avg.Seconds()/ideal.Seconds() - 1; diff > 0.03 || diff < -0.03 {
+			t.Errorf("job %d steady avg %v with learned params, want within 3%% of %v", i, avg, ideal)
 		}
 	}
 }
@@ -94,7 +173,7 @@ func TestFairnessClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level sweep takes ~5s")
 	}
-	res := FairnessWithHorizon(30 * sim.Second)
+	res := Fairness(30 * sim.Second)
 	// Reno follows the Mathis 1/√p law.
 	if res.RenoExponent > -0.35 || res.RenoExponent < -0.65 {
 		t.Errorf("Reno loss exponent = %.3f, want ≈ -0.5", res.RenoExponent)
@@ -119,29 +198,26 @@ func TestFairnessClaims(t *testing.T) {
 	}
 }
 
-// MLTCP wrapped around CUBIC and DCTCP also converges (§6: "Other
-// congestion control schemes are augmented in a similar way").
+// MLTCP wrapped around the other congestion-control bases also converges
+// (§6: "Other congestion control schemes are augmented in a similar way"):
+// loss-based CUBIC, ECN-based DCTCP and deadline-aware D2TCP (the backend
+// marks ECN at the bottleneck for both), and delay-based Swift.
 func TestPacketLevelMLTCPOverOtherBases(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("packet-level runs take ~10s")
 	}
-	cases := []struct {
-		name    string
-		factory ccFactory
-		ecn     bool
-	}{
-		{"mltcp-cubic", MLTCPCubicFactory(400 * sim.Millisecond), false},
-		{"mltcp-dctcp", MLTCPDCTCPFactory(400 * sim.Millisecond), true},
-		{"mltcp-swift", MLTCPSwiftFactory(400 * sim.Millisecond), false},
-	}
-	for _, c := range cases {
-		res := PacketLevelOpts(2, c.factory, c.name, 60*sim.Second, 0, ScaledGPT2(), c.ecn)
-		for i, avg := range res.SteadyAvg {
-			if diff := avg.Seconds()/res.Ideal.Seconds() - 1; diff > 0.05 || diff < -0.05 {
-				t.Errorf("%s job %d steady avg %v, want within 5%% of %v", c.name, i, avg, res.Ideal)
+	for _, policy := range []string{"mltcp-cubic", "mltcp-dctcp", "mltcp-d2tcp", "mltcp-swift"} {
+		t.Run(policy, func(t *testing.T) {
+			t.Parallel()
+			res := runPacket(t, twoGPT2(policy))
+			for i, j := range res.Jobs {
+				avg := lastMean(j.IterTimes, 10)
+				if diff := avg.Seconds()/j.Ideal.Seconds() - 1; diff > 0.05 || diff < -0.05 {
+					t.Errorf("job %d steady avg %v, want within 5%% of %v", i, avg, j.Ideal)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -152,7 +228,7 @@ func TestMultiBottleneckInterleaving(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level run takes ~8s")
 	}
-	res := MultiBottleneck(MLTCPRenoFactory(400*sim.Millisecond), 90*sim.Second)
+	res := MultiBottleneck(90 * sim.Second)
 	for i, avg := range res.SteadyAvg {
 		if diff := avg.Seconds()/res.Ideal.Seconds() - 1; diff > 0.05 || diff < -0.05 {
 			t.Errorf("%s steady avg %v, want within 5%% of %v", res.Names[i], avg, res.Ideal)
@@ -168,37 +244,15 @@ func TestPacketLevelConvergesUnderRTTJitter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level run takes ~5s")
 	}
-	eng := sim.New()
-	net := netsim.NewDumbbell(eng, netsim.DumbbellConfig{
-		HostPairs:       2,
-		HostRate:        5 * units.Gbps,
-		BottleneckRate:  500 * units.Mbps,
-		HostDelay:       10 * sim.Microsecond,
-		BottleneckDelay: 30 * sim.Microsecond,
-	})
-	net.Forward.JitterStd = 20 * sim.Microsecond
-	net.Forward.RNG = sim.NewRNG(11)
-	net.Reverse.JitterStd = 20 * sim.Microsecond
-	net.Reverse.RNG = sim.NewRNG(12)
-
-	profile := ScaledGPT2()
-	bytes := int64(profile.CommBytes)
-	jobs := make([]*packetJob, 2)
-	for i := range jobs {
-		f := tcp.NewFlow(eng, netsim.FlowID(i+1), net.Left[i], net.Right[i],
-			MLTCPRenoFactory(400*sim.Millisecond)(bytes), tcp.Config{})
-		jobs[i] = &packetJob{sender: f.Sender, bytes: bytes, compute: profile.ComputeTime}
-		jobs[i].start(eng, sim.Time(i)*StaggerOffset)
-	}
-	eng.RunUntil(60 * sim.Second)
-	ideal := profile.ComputeTime + plRate.TransmissionTime(bytes)
-	for i, j := range jobs {
-		n := len(j.iterTimes)
-		var sum sim.Time
-		for _, d := range j.iterTimes[n-10:] {
-			sum += d
-		}
-		avg := sum / 10
+	steady, ideal := runTwoGPT2(func(net *netsim.Dumbbell) {
+		net.Forward.JitterStd = 20 * sim.Microsecond
+		net.Forward.RNG = sim.NewRNG(11)
+		net.Reverse.JitterStd = 20 * sim.Microsecond
+		net.Reverse.RNG = sim.NewRNG(12)
+	}, func(bytes int64) tcp.CongestionControl {
+		return core.Wrap(tcp.NewReno(), core.Default(), core.NewTracker(bytes, 400*sim.Millisecond))
+	}, tcp.Config{})
+	for i, avg := range steady {
 		if diff := avg.Seconds()/ideal.Seconds() - 1; diff > 0.03 || diff < -0.03 {
 			t.Errorf("job %d steady %v under jitter, want within 3%% of %v", i, avg, ideal)
 		}
@@ -212,33 +266,10 @@ func TestPacketLevelConvergesWithDelayedAcks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level run takes ~3s")
 	}
-	eng := sim.New()
-	net := netsim.NewDumbbell(eng, netsim.DumbbellConfig{
-		HostPairs:       2,
-		HostRate:        5 * units.Gbps,
-		BottleneckRate:  500 * units.Mbps,
-		HostDelay:       10 * sim.Microsecond,
-		BottleneckDelay: 30 * sim.Microsecond,
-	})
-	profile := ScaledGPT2()
-	bytes := int64(profile.CommBytes)
-	jobs := make([]*packetJob, 2)
-	for i := range jobs {
-		f := tcp.NewFlow(eng, netsim.FlowID(i+1), net.Left[i], net.Right[i],
-			MLTCPRenoFactory(400*sim.Millisecond)(bytes),
-			tcp.Config{DelayedAck: true})
-		jobs[i] = &packetJob{sender: f.Sender, bytes: bytes, compute: profile.ComputeTime}
-		jobs[i].start(eng, sim.Time(i)*StaggerOffset)
-	}
-	eng.RunUntil(60 * sim.Second)
-	ideal := profile.ComputeTime + plRate.TransmissionTime(bytes)
-	for i, j := range jobs {
-		n := len(j.iterTimes)
-		var sum sim.Time
-		for _, d := range j.iterTimes[n-10:] {
-			sum += d
-		}
-		avg := sum / 10
+	steady, ideal := runTwoGPT2(nil, func(bytes int64) tcp.CongestionControl {
+		return core.Wrap(tcp.NewReno(), core.Default(), core.NewTracker(bytes, 400*sim.Millisecond))
+	}, tcp.Config{DelayedAck: true})
+	for i, avg := range steady {
 		if diff := avg.Seconds()/ideal.Seconds() - 1; diff > 0.03 || diff < -0.03 {
 			t.Errorf("job %d steady %v with delayed ACKs, want within 3%% of %v", i, avg, ideal)
 		}

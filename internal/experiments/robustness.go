@@ -29,17 +29,11 @@ type RobustnessPoint struct {
 // interleaving decays into collisions. MLTCP re-applies its restoring
 // force every iteration and holds near the ideal. Cassini would have to
 // re-profile and re-solve continuously to match — "they also rely on
-// accurate profiling of the network demands". Sigma points run across all
-// CPUs; see NoiseRobustnessWorkers to pin the worker count.
-func NoiseRobustness(sigmas []sim.Time, horizon sim.Time) []RobustnessPoint {
-	return NoiseRobustnessWorkers(sigmas, horizon, 0)
-}
-
-// NoiseRobustnessWorkers is NoiseRobustness on a fixed-size worker pool
-// (workers <= 0 means one per CPU). The centralized schedule is optimized
-// once up front and shared read-only; each sigma point's jobs carry
-// explicit seeds, so results are identical for every worker count.
-func NoiseRobustnessWorkers(sigmas []sim.Time, horizon sim.Time, workers int) []RobustnessPoint {
+// accurate profiling of the network demands". Sigma points run on a pool
+// of workers (<= 0 means one per CPU). The centralized schedule is
+// optimized once up front and shared read-only; each sigma point's jobs
+// carry explicit seeds, so results are identical for every worker count.
+func NoiseRobustness(sigmas []sim.Time, horizon sim.Time, workers int) []RobustnessPoint {
 	if len(sigmas) == 0 {
 		sigmas = []sim.Time{0, 10 * sim.Millisecond, 20 * sim.Millisecond, 40 * sim.Millisecond}
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestNoiseRobustnessCentralizedDecaysMLTCPHolds(t *testing.T) {
 	t.Parallel()
-	pts := NoiseRobustness([]sim.Time{0, 20 * sim.Millisecond, 40 * sim.Millisecond}, 300*sim.Second)
+	pts := NoiseRobustness([]sim.Time{0, 20 * sim.Millisecond, 40 * sim.Millisecond}, 300*sim.Second, 0)
 
 	// Noiseless: both near ideal.
 	if pts[0].CentralizedSlowdown > 1.02 || pts[0].MLTCPSlowdown > 1.02 {

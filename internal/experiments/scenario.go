@@ -103,8 +103,7 @@ func CanonicalTwoJob() *config.Scenario {
 const scenarioSteadySkip = 20
 
 // CrossFidelityCanonical runs the canonical scenario end to end with the
-// standard skip, for the validation test, the compare figure, and the
-// benchmark.
+// standard skip, for the validation test and the compare figure.
 func CrossFidelityCanonical(ctx context.Context, seed uint64) (*CrossFidelityResult, error) {
 	return CrossFidelity(ctx, CanonicalTwoJob(), seed, scenarioSteadySkip)
 }

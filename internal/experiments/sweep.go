@@ -35,16 +35,10 @@ var slopeInterceptGrid = []struct{ s, i float64 }{
 // SlopeInterceptSweep measures how Equation 2's constants trade
 // convergence speed against noise tolerance (§3.1: the constants are
 // "tuned based on the link rate and the noise in the system"). The paper's
-// defaults sit in the middle of the grid. Points run across all CPUs; see
-// SlopeInterceptSweepWorkers to pin the worker count.
-func SlopeInterceptSweep(noise sim.Time) []SweepPoint {
-	return SlopeInterceptSweepWorkers(noise, 0)
-}
-
-// SlopeInterceptSweepWorkers is SlopeInterceptSweep on a fixed-size worker
-// pool (workers <= 0 means one per CPU). Every job is explicitly seeded, so
-// the result slice is identical for every worker count.
-func SlopeInterceptSweepWorkers(noise sim.Time, workers int) []SweepPoint {
+// defaults sit in the middle of the grid. Points run on a pool of workers
+// (<= 0 means one per CPU); every job is explicitly seeded, so the result
+// slice is identical for every worker count.
+func SlopeInterceptSweep(noise sim.Time, workers int) []SweepPoint {
 	return harness.Map(context.Background(), harness.Config{Workers: workers},
 		len(slopeInterceptGrid), func(pt harness.Point) SweepPoint {
 			g := slopeInterceptGrid[pt.Index]
@@ -104,15 +98,11 @@ type ScalabilityPoint struct {
 // cluster grows, while MLTCP's convergence cost is a bounded number of
 // training iterations per job, independent of any controller. Jobs are
 // identical GPT-2s, whose 1/9 duty admits interleaving up to N = 9.
-func Scalability(ns []int) []ScalabilityPoint {
-	return ScalabilityWorkers(ns, 0)
-}
-
-// ScalabilityWorkers is Scalability on a fixed-size worker pool (workers
-// <= 0 means one per CPU). Apart from OptimizerWall — a wall-clock
-// measurement that parallel neighbors can inflate through contention —
-// every field is deterministic and worker-count independent.
-func ScalabilityWorkers(ns []int, workers int) []ScalabilityPoint {
+// Points run on a pool of workers (<= 0 means one per CPU). Apart from
+// OptimizerWall — a wall-clock measurement that parallel neighbors can
+// inflate through contention — every field is deterministic and
+// worker-count independent.
+func Scalability(ns []int, workers int) []ScalabilityPoint {
 	if len(ns) == 0 {
 		ns = []int{2, 4, 6, 8}
 	}

@@ -12,7 +12,7 @@ import (
 
 func TestSlopeInterceptSweep(t *testing.T) {
 	t.Parallel()
-	pts := SlopeInterceptSweep(10 * sim.Millisecond)
+	pts := SlopeInterceptSweep(10*sim.Millisecond, 0)
 	if len(pts) != 7 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -45,7 +45,7 @@ func TestSlopeInterceptSweep(t *testing.T) {
 
 func TestScalability(t *testing.T) {
 	t.Parallel()
-	pts := Scalability([]int{2, 4, 8})
+	pts := Scalability([]int{2, 4, 8}, 0)
 	for _, p := range pts {
 		if !p.OptimizerInterleaved {
 			t.Errorf("N=%d: optimizer found no interleaving (duty %.2f should fit)",

@@ -25,7 +25,7 @@
 //   - internal/workload, internal/metrics, internal/trace — job profiles,
 //     statistics, and figure rendering.
 //   - internal/experiments — one harness per paper figure, driven by
-//     cmd/mltcp-figures and the benchmarks in this directory.
+//     cmd/mltcp-figures and internal/report.
 //   - internal/harness — the deterministic parallel sweep runner: fans
 //     experiment grids across a worker pool with per-point seed streams
 //     (SplitMix64-derived), so results are bit-for-bit identical at any
