@@ -27,7 +27,6 @@ import (
 	"mltcp/internal/config"
 	"mltcp/internal/core"
 	"mltcp/internal/experiments"
-	"mltcp/internal/fluid"
 	"mltcp/internal/learn"
 	"mltcp/internal/multires"
 	"mltcp/internal/report"
@@ -456,13 +455,12 @@ func robust() {
 
 func churn() {
 	fmt.Println("job churn: 1 GPT-3 + 5 GPT-2 jobs arriving over 60s, 60 iterations each")
-	agg := core.Default()
 	var rows [][]string
 	const churnSeed = 3 // shared root seed: identical arrival pattern across schemes
 	for _, c := range []experiments.ChurnResult{
-		experiments.Churn("mltcp", fluid.WeightedShare{}, &agg, 6, 60, churnSeed),
-		experiments.Churn("reno", fluid.WeightedShare{}, nil, 6, 60, churnSeed),
-		experiments.Churn("srpt", fluid.SRPT{Label: "pfabric"}, nil, 6, 60, churnSeed),
+		experiments.Churn("mltcp", 6, 60, churnSeed),
+		experiments.Churn("reno", 6, 60, churnSeed),
+		experiments.Churn("srpt", 6, 60, churnSeed),
 	} {
 		rows = append(rows, []string{
 			c.Scheme,

@@ -82,14 +82,17 @@ type JobResult struct {
 func (j JobResult) Iterations() int { return len(j.CommEnds) }
 
 // SteadyIter averages iteration times after skipping the first `skip`
-// (the convergence transient). If fewer than skip+1 iterations exist it
-// averages the second half instead, and returns 0 with no iterations.
+// (the convergence transient; a negative skip counts as 0). If fewer than
+// skip+1 iterations exist it averages the second half instead, and
+// returns 0 with no iterations.
 func (j JobResult) SteadyIter(skip int) sim.Time {
 	n := len(j.IterTimes)
 	if n == 0 {
 		return 0
 	}
-	if skip >= n {
+	if skip < 0 {
+		skip = 0
+	} else if skip >= n {
 		skip = n / 2
 	}
 	var sum sim.Time

@@ -257,6 +257,10 @@ func TestSteadyIterFallback(t *testing.T) {
 	if got := j.SteadyIter(100); got != 2*sim.Second {
 		t.Errorf("SteadyIter(100) = %v", got)
 	}
+	// A negative skip averages every iteration instead of panicking.
+	if got := j.SteadyIter(-3); got != 10*sim.Second/4 {
+		t.Errorf("SteadyIter(-3) = %v", got)
+	}
 	if got := (JobResult{}).SteadyIter(5); got != 0 {
 		t.Errorf("empty SteadyIter = %v", got)
 	}

@@ -38,8 +38,10 @@ func New(name string) (Backend, error) {
 
 // InterleavedAtOf is the exported form of the InterleavedAt computation:
 // the first iteration index from which every job's remaining iteration
-// times stay within tol of its own ideal (-1 if never). Exported so trace
-// consumers (cmd/mltcp-trace) reuse the backend's exact arithmetic.
+// times stay within tol of its own ideal (-1 if never). Exported so
+// callers that need a tolerance other than InterleaveTol (the paper
+// figures in internal/experiments use 5%) reuse the backend's exact
+// arithmetic.
 func InterleavedAtOf(jobs []JobResult, tol float64) int {
 	return interleavedAt(jobs, tol)
 }

@@ -5,12 +5,14 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+
+	"mltcp/internal/backend"
+	"mltcp/internal/config"
 	"mltcp/internal/core"
-	"mltcp/internal/fluid"
-	"mltcp/internal/metrics"
 	"mltcp/internal/sim"
 	"mltcp/internal/units"
-	"mltcp/internal/workload"
 )
 
 // LinkCapacity is the bottleneck rate used throughout the paper's testbed.
@@ -23,6 +25,10 @@ const LinkCapacity = 50 * units.Gbps
 // for the packet-level and clock asymmetries that break the tie on a real
 // testbed (and is <1% of an iteration).
 const StaggerOffset = 10 * sim.Millisecond
+
+// convergedTol is the per-iteration band around ideal within which the
+// figures count a job as converged.
+const convergedTol = 0.05
 
 // JobStats summarizes one job's outcome.
 type JobStats struct {
@@ -38,54 +44,72 @@ type JobStats struct {
 	IterTimes []sim.Time
 }
 
-func summarize(j *fluid.Job, skip int) JobStats {
-	ideal := j.Spec.Profile.IdealIterTime(LinkCapacity)
-	avg := j.AvgIterTime(skip)
+// jobStats summarizes one backend job, skipping skip iterations of
+// transient in the steady-state average.
+func jobStats(j backend.JobResult, skip int) JobStats {
 	return JobStats{
-		Name:      j.Spec.Label(),
-		AvgIter:   avg,
-		Ideal:     ideal,
-		Slowdown:  avg.Seconds() / ideal.Seconds(),
-		IterTimes: j.IterDurations,
+		Name:      j.Name,
+		AvgIter:   j.SteadyIter(skip),
+		Ideal:     j.Ideal,
+		Slowdown:  j.Slowdown(skip),
+		IterTimes: j.IterTimes,
 	}
 }
 
-// fourJobs builds the Fig. 2 workload: J1 = GPT-3-like, J2–J4 = GPT-2-like,
-// all starting their first communication phase (near-)simultaneously,
-// optionally staggered and optionally MLTCP-weighted.
-func fourJobs(agg *core.AggFunc, offsets []sim.Time) []*fluid.Job {
-	profiles := []workload.Profile{workload.GPT3, workload.GPT2, workload.GPT2, workload.GPT2}
-	names := []string{"J1", "J2", "J3", "J4"}
-	jobs := make([]*fluid.Job, len(profiles))
-	for i := range profiles {
-		var off sim.Time
-		if offsets != nil {
-			off = offsets[i]
-		} else {
-			off = sim.Time(i) * StaggerOffset
-		}
-		jobs[i] = &fluid.Job{
-			Spec: workload.Spec{Name: names[i], Profile: profiles[i], StartOffset: off},
-			Agg:  agg,
-		}
+// fourJobScenario is the Fig. 2 workload: J1 = GPT-3-like, J2–J4 =
+// GPT-2-like on the paper's 50 Gbps bottleneck, staggered by the
+// scenario's default StaggerOffset.
+func fourJobScenario(policy string, durationSec, noiseMS float64) *config.Scenario {
+	scn := &config.Scenario{Policy: policy, DurationSec: durationSec}
+	for i, prof := range []string{"gpt3", "gpt2", "gpt2", "gpt2"} {
+		scn.Jobs = append(scn.Jobs, config.Job{Name: fmt.Sprintf("J%d", i+1), Profile: prof, NoiseMS: noiseMS})
 	}
-	return jobs
+	return scn
 }
 
-// gpt2Jobs builds n identical GPT-2-like jobs with the standard stagger.
-func gpt2Jobs(n int, agg *core.AggFunc) []*fluid.Job {
-	jobs := make([]*fluid.Job, n)
-	for i := range jobs {
-		jobs[i] = &fluid.Job{
-			Spec: workload.Spec{
-				Name:        jobName(i),
-				Profile:     workload.GPT2,
-				StartOffset: sim.Time(i) * StaggerOffset,
-			},
-			Agg: agg,
-		}
+// gpt2Scenario is n identical GPT-2-like jobs (Job1, Job2, ...) with the
+// standard stagger.
+func gpt2Scenario(policy string, n int, durationSec, noiseMS float64) *config.Scenario {
+	scn := &config.Scenario{Policy: policy, DurationSec: durationSec}
+	for i := 0; i < n; i++ {
+		scn.Jobs = append(scn.Jobs, config.Job{Name: jobName(i), Profile: "gpt2", NoiseMS: noiseMS})
 	}
-	return jobs
+	return scn
+}
+
+// runFluid runs a figure's scenario on the fluid backend, recording
+// per-job bandwidth in buckets of the given width when it is positive.
+// The figures' scenarios are fixed in code, so a rejected one is a
+// programming error.
+func runFluid(scn *config.Scenario, seed uint64, bucket sim.Time) *backend.Result {
+	res, err := (&backend.Fluid{TraceBucket: bucket}).Run(context.Background(), scn, seed)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// bandwidth keys each job's recorded bandwidth series by its name.
+func bandwidth(res *backend.Result) map[string][]units.Rate {
+	out := make(map[string][]units.Rate, len(res.Jobs))
+	for _, j := range res.Jobs {
+		rates := make([]units.Rate, len(j.Bandwidth))
+		for i, b := range j.Bandwidth {
+			rates[i] = units.Rate(b)
+		}
+		out[j.Name] = rates
+	}
+	return out
+}
+
+// maxSlowdown is the worst job's steady-state slowdown after skip
+// iterations of transient.
+func maxSlowdown(jobs []backend.JobResult, skip int) float64 {
+	worst := 0.0
+	for _, j := range jobs {
+		worst = max(worst, j.Slowdown(skip))
+	}
+	return worst
 }
 
 func jobName(i int) string { return "Job" + string(rune('1'+i)) }
@@ -93,9 +117,4 @@ func jobName(i int) string { return "Job" + string(rune('1'+i)) }
 func defaultAgg() *core.AggFunc {
 	f := core.Default()
 	return &f
-}
-
-// avgSeconds converts steady-state iteration times to seconds for tables.
-func avgSeconds(ts []sim.Time) float64 {
-	return metrics.FromTimes(ts).Mean()
 }

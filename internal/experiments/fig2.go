@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"mltcp/internal/fluid"
-	"mltcp/internal/sched"
+	"mltcp/internal/backend"
 	"mltcp/internal/sim"
 	"mltcp/internal/units"
-	"mltcp/internal/workload"
 )
 
 // Fig2Result compares one scheduling scheme on the four-job scenario of
@@ -26,105 +24,49 @@ type Fig2Result struct {
 }
 
 const (
-	fig2Horizon = 120 * sim.Second
-	fig2Skip    = 30 // iterations of transient skipped in steady-state averages
-	fig2Bucket  = 50 * sim.Millisecond
+	fig2DurationSec = 120
+	fig2Skip        = 30 // iterations of transient skipped in steady-state averages
+	fig2Bucket      = 50 * sim.Millisecond
 )
 
-func runFig2(scheme string, jobs []*fluid.Job, policy fluid.Policy) Fig2Result {
-	s := fluid.New(fluid.Config{
-		Capacity:    LinkCapacity,
-		Policy:      policy,
-		TraceBucket: fig2Bucket,
-	}, jobs)
-	s.Run(fig2Horizon)
-
-	res := Fig2Result{
-		Scheme:      scheme,
+// runFig2 runs the four-job scenario under policy (which names the
+// scheme) at seed 1, which also seeds the centralized optimizer; a nil
+// stagger keeps the default.
+func runFig2(policy string, staggerMS *float64) Fig2Result {
+	scn := fourJobScenario(policy, fig2DurationSec, 0)
+	scn.StaggerMS = staggerMS
+	res := runFluid(scn, 1, fig2Bucket)
+	out := Fig2Result{
+		Scheme:      policy,
 		Bucket:      fig2Bucket,
-		Bandwidth:   map[string][]units.Rate{},
-		ConvergedAt: -1,
+		Bandwidth:   bandwidth(res),
+		ConvergedAt: backend.InterleavedAtOf(res.Jobs, convergedTol),
 	}
-	for _, j := range jobs {
-		res.Jobs = append(res.Jobs, summarize(j, fig2Skip))
-		res.Bandwidth[j.Spec.Label()] = s.Trace(j)
+	for _, j := range res.Jobs {
+		out.Jobs = append(out.Jobs, jobStats(j, fig2Skip))
 	}
-	res.ConvergedAt = convergedAt(jobs, 0.05)
-	return res
-}
-
-// convergedAt returns the first iteration index k such that every job's
-// iteration times from k on stay within tol of its ideal.
-func convergedAt(jobs []*fluid.Job, tol float64) int {
-	maxIter := 0
-	for _, j := range jobs {
-		if n := len(j.IterDurations); n > maxIter {
-			maxIter = n
-		}
-	}
-	for k := 0; k < maxIter; k++ {
-		ok := true
-		for _, j := range jobs {
-			ideal := j.Spec.Profile.IdealIterTime(LinkCapacity).Seconds()
-			for _, d := range j.IterDurations[min(k, len(j.IterDurations)):] {
-				if diff := d.Seconds()/ideal - 1; diff > tol || diff < -tol {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok {
-			return k
-		}
-	}
-	return -1
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return out
 }
 
 // Fig2Centralized regenerates Figure 2(a): the Cassini-like centralized
 // scheduler computes interleaving offsets offline; jobs then run without
 // contention and achieve their ideal iteration times.
-func Fig2Centralized() Fig2Result {
-	shapes := []sched.Shape{
-		sched.ShapeOf(workload.GPT3, LinkCapacity),
-		sched.ShapeOf(workload.GPT2, LinkCapacity),
-		sched.ShapeOf(workload.GPT2, LinkCapacity),
-		sched.ShapeOf(workload.GPT2, LinkCapacity),
-	}
-	opt := sched.Optimize(shapes, sched.Options{Seed: 1})
-	jobs := fourJobs(nil, opt.Offsets)
-	return runFig2("centralized", jobs, fluid.WeightedShare{})
-}
+func Fig2Centralized() Fig2Result { return runFig2("centralized", nil) }
 
 // Fig2SRPT regenerates Figure 2(b): pFabric-style SRPT scheduling of the
 // four jobs starting together. The three smaller GPT-2 jobs stay near
 // ideal while J1 is head-of-line blocked to ~1.5× its ideal.
 func Fig2SRPT() Fig2Result {
-	jobs := fourJobs(nil, make([]sim.Time, 4)) // truly simultaneous
-	return runFig2("srpt", jobs, fluid.SRPT{Label: "pfabric"})
+	simultaneous := 0.0
+	return runFig2("srpt", &simultaneous)
 }
 
 // Fig2MLTCP regenerates Figure 2(c): all four jobs run MLTCP-Reno (modeled
 // as F(bytes_ratio)-weighted sharing) from a near-simultaneous start and
 // converge to the centralized optimum's iteration times.
-func Fig2MLTCP() Fig2Result {
-	jobs := fourJobs(defaultAgg(), nil)
-	return runFig2("mltcp-reno", jobs, fluid.WeightedShare{})
-}
+func Fig2MLTCP() Fig2Result { return runFig2("mltcp-reno", nil) }
 
 // Fig2Reno is the no-scheduling baseline (plain fair sharing), not shown
 // as its own panel in Figure 2 but the implicit status quo MLTCP improves
 // over.
-func Fig2Reno() Fig2Result {
-	jobs := fourJobs(nil, nil)
-	return runFig2("reno", jobs, fluid.WeightedShare{})
-}
+func Fig2Reno() Fig2Result { return runFig2("reno", nil) }

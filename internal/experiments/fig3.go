@@ -4,6 +4,7 @@ import (
 	"mltcp/internal/core"
 	"mltcp/internal/fluid"
 	"mltcp/internal/sim"
+	"mltcp/internal/workload"
 )
 
 // Fig3Result compares the six bandwidth aggressiveness functions of
@@ -34,13 +35,24 @@ func Fig3() Fig3Result {
 		res.Functions = append(res.Functions, f.Name)
 		res.IterTimeMS = append(res.IterTimeMS, avgIterSeries(jobs, Fig3Iterations))
 	}
-	res.IdealMS = jobsIdealMS()
+	res.IdealMS = workload.GPT2.IdealIterTime(LinkCapacity).Seconds() * 1000
 	return res
 }
 
-func jobsIdealMS() float64 {
-	j := gpt2Jobs(1, nil)[0]
-	return j.Spec.Profile.IdealIterTime(LinkCapacity).Seconds() * 1000
+// gpt2Jobs builds n identical GPT-2-like jobs with the standard stagger.
+func gpt2Jobs(n int, agg *core.AggFunc) []*fluid.Job {
+	jobs := make([]*fluid.Job, n)
+	for i := range jobs {
+		jobs[i] = &fluid.Job{
+			Spec: workload.Spec{
+				Name:        jobName(i),
+				Profile:     workload.GPT2,
+				StartOffset: sim.Time(i) * StaggerOffset,
+			},
+			Agg: agg,
+		}
+	}
+	return jobs
 }
 
 // avgIterSeries averages iteration k's duration across jobs, in ms.

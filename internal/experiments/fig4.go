@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"mltcp/internal/fluid"
 	"mltcp/internal/metrics"
 	"mltcp/internal/sim"
 	"mltcp/internal/units"
@@ -32,38 +31,23 @@ type Fig4Result struct {
 // of both schemes equally and mask the steady-state comparison.
 func Fig4() Fig4Result {
 	const (
-		horizon = 300 * sim.Second
-		bucket  = 50 * sim.Millisecond
-		warmup  = 30 // iterations excluded per job
+		durationSec = 300
+		bucket      = 50 * sim.Millisecond
+		warmup      = 30 // iterations excluded per job
 	)
-	run := func(mltcp bool) (map[string][]units.Rate, metrics.Series) {
-		var jobs []*fluid.Job
-		if mltcp {
-			jobs = gpt2Jobs(6, defaultAgg())
-		} else {
-			jobs = gpt2Jobs(6, nil)
-		}
-		s := fluid.New(fluid.Config{
-			Capacity:    LinkCapacity,
-			Policy:      fluid.WeightedShare{},
-			TraceBucket: bucket,
-		}, jobs)
-		s.Run(horizon)
-		traces := map[string][]units.Rate{}
+	run := func(policy string) (map[string][]units.Rate, metrics.Series) {
+		res := runFluid(gpt2Scenario(policy, 6, durationSec, 0), 1, bucket)
 		var all metrics.Series
-		for _, j := range jobs {
-			traces[j.Spec.Label()] = s.Trace(j)
-			for i, d := range j.IterDurations {
-				if i >= warmup {
-					all = append(all, d.Seconds()*1000)
-				}
+		for _, j := range res.Jobs {
+			for _, d := range j.IterTimes[min(warmup, len(j.IterTimes)):] {
+				all = append(all, d.Seconds()*1000)
 			}
 		}
-		return traces, all
+		return bandwidth(res), all
 	}
 
-	renoTr, renoIters := run(false)
-	mlTr, mlIters := run(true)
+	renoTr, renoIters := run("reno")
+	mlTr, mlIters := run("mltcp")
 	return Fig4Result{
 		Bucket:        bucket,
 		RenoTrace:     renoTr,

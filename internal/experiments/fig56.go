@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"mltcp/internal/analysis"
-	"mltcp/internal/fluid"
 	"mltcp/internal/sim"
 	"mltcp/internal/units"
 	"mltcp/internal/workload"
@@ -53,29 +52,24 @@ type Fig6Result struct {
 	CommDurSec float64
 }
 
-// Fig6 regenerates Figure 6.
+// Fig6 regenerates Figure 6: Job2 starts two stagger offsets after Job1.
 func Fig6() Fig6Result {
 	const bucket = 50 * sim.Millisecond
-	jobs := []*fluid.Job{
-		{Spec: workload.Spec{Name: "Job1", Profile: workload.GPT2}, Agg: defaultAgg()},
-		{Spec: workload.Spec{Name: "Job2", Profile: workload.GPT2, StartOffset: 2 * StaggerOffset}, Agg: defaultAgg()},
-	}
-	s := fluid.New(fluid.Config{Capacity: LinkCapacity, Policy: fluid.WeightedShare{}, TraceBucket: bucket}, jobs)
-	s.Run(60 * sim.Second)
+	scn := gpt2Scenario("mltcp", 2, 60, 0)
+	scn.Jobs[1].OffsetMS = StaggerOffset.Seconds() * 1000 // on top of the default stagger
+	r := runFluid(scn, 1, bucket)
+	j1, j2 := r.Jobs[0], r.Jobs[1]
 
 	res := Fig6Result{
-		Bucket: bucket,
-		Trace: map[string][]units.Rate{
-			"Job1": s.Trace(jobs[0]),
-			"Job2": s.Trace(jobs[1]),
-		},
+		Bucket:        bucket,
+		Trace:         bandwidth(r),
 		CommDurSec:    LinkCapacity.TransmissionTime(int64(workload.GPT2.CommBytes)).Seconds(),
 		InterleavedAt: -1,
 	}
-	n := min(len(jobs[0].CommStarts), len(jobs[1].CommStarts))
+	n := min(len(j1.CommStarts), len(j2.CommStarts))
 	period := workload.GPT2.IdealIterTime(LinkCapacity).Seconds()
 	for i := 0; i < n; i++ {
-		d := (jobs[1].CommStarts[i] - jobs[0].CommStarts[i]).Seconds()
+		d := (j2.CommStarts[i] - j1.CommStarts[i]).Seconds()
 		// Normalize into [0, T).
 		for d < 0 {
 			d += period

@@ -41,7 +41,6 @@ func NoiseBound(seeds int) NoiseResult {
 		seeds = 3
 	}
 	res := NoiseResult{}
-	period := halfCommProfile.IdealIterTime(LinkCapacity)
 	for _, sigma := range []sim.Time{5 * sim.Millisecond, 10 * sim.Millisecond,
 		20 * sim.Millisecond, 40 * sim.Millisecond, 80 * sim.Millisecond} {
 		var errs metrics.Series
@@ -52,7 +51,6 @@ func NoiseBound(seeds int) NoiseResult {
 		res.MeasuredMS = append(res.MeasuredMS, errs.Std()*1000)
 		bound := analysis.NoiseErrorStd(sigma, core.DefaultSlope, core.DefaultIntercept)
 		res.BoundMS = append(res.BoundMS, bound.Seconds()*1000)
-		_ = period
 	}
 	return res
 }

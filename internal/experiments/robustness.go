@@ -3,13 +3,10 @@ package experiments
 import (
 	"context"
 
-	"mltcp/internal/core"
-	"mltcp/internal/fluid"
+	"mltcp/internal/config"
 	"mltcp/internal/harness"
 	"mltcp/internal/metrics"
-	"mltcp/internal/sched"
 	"mltcp/internal/sim"
-	"mltcp/internal/workload"
 )
 
 // RobustnessPoint compares, at one noise level, a static centralized
@@ -30,9 +27,9 @@ type RobustnessPoint struct {
 // force every iteration and holds near the ideal. Cassini would have to
 // re-profile and re-solve continuously to match — "they also rely on
 // accurate profiling of the network demands". Sigma points run on a pool
-// of workers (<= 0 means one per CPU). The centralized schedule is
-// optimized once up front and shared read-only; each sigma point's jobs
-// carry explicit seeds, so results are identical for every worker count.
+// of workers (<= 0 means one per CPU). Every run uses seed 1, which fixes
+// both the centralized offsets and the noise streams, so results are
+// identical for every worker count.
 func NoiseRobustness(sigmas []sim.Time, horizon sim.Time, workers int) []RobustnessPoint {
 	if len(sigmas) == 0 {
 		sigmas = []sim.Time{0, 10 * sim.Millisecond, 20 * sim.Millisecond, 40 * sim.Millisecond}
@@ -40,51 +37,25 @@ func NoiseRobustness(sigmas []sim.Time, horizon sim.Time, workers int) []Robustn
 	if horizon == 0 {
 		horizon = 300 * sim.Second
 	}
-	shapes := []sched.Shape{
-		sched.ShapeOf(workload.GPT3, LinkCapacity),
-		sched.ShapeOf(workload.GPT2, LinkCapacity),
-		sched.ShapeOf(workload.GPT2, LinkCapacity),
-		sched.ShapeOf(workload.GPT2, LinkCapacity),
+	// worst measures each job's mean iteration time over the last third
+	// of its run against its ideal and returns the worst ratio.
+	worst := func(policy string, sigma sim.Time) float64 {
+		res := runFluid(fourJobScenario(policy, horizon.Seconds(), sigma.Seconds()*1000), 1, 0)
+		w := 0.0
+		for _, j := range res.Jobs {
+			w = max(w, j.Slowdown(len(j.IterTimes)*2/3))
+		}
+		return w
 	}
-	opt := sched.Optimize(shapes, sched.Options{Seed: 1})
-
 	return harness.Map(context.Background(), harness.Config{Workers: workers},
 		len(sigmas), func(pt harness.Point) RobustnessPoint {
 			sigma := sigmas[pt.Index]
-			p := RobustnessPoint{SigmaMS: sigma.Seconds() * 1000}
-			p.CentralizedSlowdown = worstSlowdown(runNoisy(nil, opt.Offsets, sigma, horizon))
-			p.MLTCPSlowdown = worstSlowdown(runNoisy(defaultAgg(), nil, sigma, horizon))
-			return p
+			return RobustnessPoint{
+				SigmaMS:             sigma.Seconds() * 1000,
+				CentralizedSlowdown: worst("centralized", sigma),
+				MLTCPSlowdown:       worst("mltcp", sigma),
+			}
 		})
-}
-
-func runNoisy(agg *core.AggFunc, offsets []sim.Time, sigma, horizon sim.Time) []*fluid.Job {
-	jobs := fourJobs(agg, offsets)
-	for i, j := range jobs {
-		j.Spec.NoiseStd = sigma
-		j.Spec.Seed = uint64(i + 1)
-	}
-	s := fluid.New(fluid.Config{Capacity: LinkCapacity, Policy: fluid.WeightedShare{}}, jobs)
-	s.Run(horizon)
-	return jobs
-}
-
-// worstSlowdown measures each job's mean iteration time over the last
-// third of its run against its ideal and returns the worst ratio.
-func worstSlowdown(jobs []*fluid.Job) float64 {
-	worst := 0.0
-	for _, j := range jobs {
-		n := len(j.IterDurations)
-		if n == 0 {
-			continue
-		}
-		tail := metrics.FromTimes(j.IterDurations[n*2/3:])
-		ideal := j.Spec.Profile.IdealIterTime(LinkCapacity).Seconds()
-		if sl := tail.Mean() / ideal; sl > worst {
-			worst = sl
-		}
-	}
-	return worst
 }
 
 // ChurnResult compares schemes on a cluster with job churn: jobs arrive
@@ -105,41 +76,40 @@ type ChurnResult struct {
 // Churn runs nJobs jobs (the first a GPT-3-like job, the rest GPT-2-like,
 // so SRPT's size bias has a victim) whose start times are spread uniformly
 // over the first spread seconds, each training for iters iterations, under
-// the given policy (MLTCP weighting when agg is non-nil).
-func Churn(scheme string, policy fluid.Policy, agg *core.AggFunc, nJobs, iters int, seed uint64) ChurnResult {
+// the named scenario policy. seed fixes both the arrival pattern and the
+// jobs' noise streams.
+func Churn(policy string, nJobs, iters int, seed uint64) ChurnResult {
 	rng := sim.NewRNG(seed)
 	const spread = 60 // seconds over which jobs arrive
-	jobs := make([]*fluid.Job, nJobs)
-	for i := range jobs {
-		prof := workload.GPT2
-		if i == 0 {
-			prof = workload.GPT3
-		}
-		jobs[i] = &fluid.Job{
-			Spec: workload.Spec{
-				Name:        jobName(i),
-				Profile:     prof,
-				StartOffset: sim.FromSeconds(rng.Float64() * spread),
-				NoiseStd:    5 * sim.Millisecond,
-				Seed:        uint64(i + 1),
-			},
-			Agg:           agg,
-			MaxIterations: iters,
-		}
+	noStagger := 0.0
+	scn := &config.Scenario{
+		Policy: policy,
+		// Generous horizon: even heavily congested jobs finish.
+		DurationSec: spread + float64(iters)*4,
+		StaggerMS:   &noStagger, // the random arrivals break symmetry
 	}
-	s := fluid.New(fluid.Config{Capacity: LinkCapacity, Policy: policy}, jobs)
-	// Generous horizon: even heavily congested jobs finish.
-	s.Run(sim.FromSeconds(spread) + sim.Time(iters)*4*sim.Second)
+	for i := 0; i < nJobs; i++ {
+		prof := "gpt2"
+		if i == 0 {
+			prof = "gpt3"
+		}
+		scn.Jobs = append(scn.Jobs, config.Job{
+			Name:     jobName(i),
+			Profile:  prof,
+			OffsetMS: rng.Float64() * spread * 1000,
+			NoiseMS:  5,
+			Iters:    iters,
+		})
+	}
 
 	var per metrics.Series
-	res := ChurnResult{Scheme: scheme}
-	for _, j := range jobs {
+	res := ChurnResult{Scheme: policy}
+	for _, j := range runFluid(scn, seed, 0).Jobs {
 		if j.Iterations() < iters {
 			continue // did not finish within the horizon
 		}
 		res.Jobs++
-		ideal := j.Spec.Profile.IdealIterTime(LinkCapacity).Seconds()
-		per = append(per, metrics.FromTimes(j.IterDurations).Mean()/ideal)
+		per = append(per, j.Slowdown(0))
 	}
 	if len(per) > 0 {
 		res.MeanSlowdown = per.Mean()

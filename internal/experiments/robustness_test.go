@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"mltcp/internal/fluid"
 	"mltcp/internal/sim"
 )
 
@@ -39,9 +38,9 @@ func TestChurnMLTCPBeatsRenoAndSRPT(t *testing.T) {
 		iters = 60
 		seed  = 3
 	)
-	mltcp := Churn("mltcp", fluid.WeightedShare{}, defaultAgg(), nJobs, iters, seed)
-	reno := Churn("reno", fluid.WeightedShare{}, nil, nJobs, iters, seed)
-	srpt := Churn("srpt", fluid.SRPT{}, nil, nJobs, iters, seed)
+	mltcp := Churn("mltcp", nJobs, iters, seed)
+	reno := Churn("reno", nJobs, iters, seed)
+	srpt := Churn("srpt", nJobs, iters, seed)
 
 	for _, r := range []ChurnResult{mltcp, reno, srpt} {
 		if r.Jobs != nJobs {

@@ -4,8 +4,7 @@ import (
 	"context"
 	"time"
 
-	"mltcp/internal/core"
-	"mltcp/internal/fluid"
+	"mltcp/internal/backend"
 	"mltcp/internal/harness"
 	"mltcp/internal/obs"
 	"mltcp/internal/sched"
@@ -36,41 +35,20 @@ var slopeInterceptGrid = []struct{ s, i float64 }{
 // convergence speed against noise tolerance (§3.1: the constants are
 // "tuned based on the link rate and the noise in the system"). The paper's
 // defaults sit in the middle of the grid. Points run on a pool of workers
-// (<= 0 means one per CPU); every job is explicitly seeded, so the result
-// slice is identical for every worker count.
+// (<= 0 means one per CPU); every point runs its scenario at seed 1, so
+// the result slice is identical for every worker count.
 func SlopeInterceptSweep(noise sim.Time, workers int) []SweepPoint {
 	return harness.Map(context.Background(), harness.Config{Workers: workers},
 		len(slopeInterceptGrid), func(pt harness.Point) SweepPoint {
 			g := slopeInterceptGrid[pt.Index]
-			agg := core.Linear(g.s, g.i)
-			jobs := make([]*fluid.Job, 3)
-			for k := range jobs {
-				jobs[k] = &fluid.Job{
-					Spec: workload.Spec{
-						Name:        jobName(k),
-						Profile:     workload.GPT2,
-						StartOffset: sim.Time(k) * StaggerOffset,
-						NoiseStd:    noise,
-						Seed:        uint64(k + 1),
-					},
-					Agg: &agg,
-				}
-			}
-			s := fluid.New(fluid.Config{Capacity: LinkCapacity, Policy: fluid.WeightedShare{}}, jobs)
-			s.Run(150 * sim.Second)
-
-			worst := 0.0
-			for _, j := range jobs {
-				sl := j.AvgIterTime(40).Seconds() / j.Spec.Profile.IdealIterTime(LinkCapacity).Seconds()
-				if sl > worst {
-					worst = sl
-				}
-			}
+			scn := gpt2Scenario("mltcp", 3, 150, noise.Seconds()*1000)
+			scn.SlopeIntercept = []float64{g.s, g.i}
+			res := runFluid(scn, 1, 0)
 			return SweepPoint{
 				Slope:          g.s,
 				Intercept:      g.i,
-				ConvergedAt:    convergedAt(jobs, 0.05),
-				SteadySlowdown: worst,
+				ConvergedAt:    backend.InterleavedAtOf(res.Jobs, convergedTol),
+				SteadySlowdown: maxSlowdown(res.Jobs, 40),
 			}
 		})
 }
@@ -116,22 +94,13 @@ func Scalability(ns []int, workers int) []ScalabilityPoint {
 				shapes[i] = sched.ShapeOf(workload.GPT2, LinkCapacity)
 			}
 			sw := obs.StartTimer()
-			res := sched.Optimize(shapes, sched.Options{Seed: uint64(n)})
+			opt := sched.Optimize(shapes, sched.Options{Seed: uint64(n)})
 			p.OptimizerWall = sw.Elapsed()
-			p.OptimizerInterleaved = res.Interleaved
+			p.OptimizerInterleaved = opt.Interleaved
 
-			jobs := gpt2Jobs(n, defaultAgg())
-			s := fluid.New(fluid.Config{Capacity: LinkCapacity, Policy: fluid.WeightedShare{}}, jobs)
-			s.Run(250 * sim.Second)
-			p.MLTCPConvergedAt = convergedAt(jobs, 0.05)
-			worst := 0.0
-			for _, j := range jobs {
-				sl := j.AvgIterTime(60).Seconds() / j.Spec.Profile.IdealIterTime(LinkCapacity).Seconds()
-				if sl > worst {
-					worst = sl
-				}
-			}
-			p.MLTCPSlowdown = worst
+			res := runFluid(gpt2Scenario("mltcp", n, 250, 0), 1, 0)
+			p.MLTCPConvergedAt = backend.InterleavedAtOf(res.Jobs, convergedTol)
+			p.MLTCPSlowdown = maxSlowdown(res.Jobs, 60)
 			return p
 		})
 }

@@ -45,5 +45,5 @@ func plDumbbell(eng *sim.Engine, pairs int) *netsim.Dumbbell {
 // lastMean averages the final n durations of ts (all of them when there
 // are fewer, 0 when there are none).
 func lastMean(ts []sim.Time, n int) sim.Time {
-	return backend.JobResult{IterTimes: ts}.SteadyIter(max(0, len(ts)-n))
+	return backend.JobResult{IterTimes: ts}.SteadyIter(len(ts) - n)
 }
