@@ -7,6 +7,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"mltcp/internal/backend"
 	"mltcp/internal/config"
@@ -112,7 +113,8 @@ func maxSlowdown(jobs []backend.JobResult, skip int) float64 {
 	return worst
 }
 
-func jobName(i int) string { return "Job" + string(rune('1'+i)) }
+// jobName labels the i-th job (0-based) Job1, Job2, ..., Job10, ....
+func jobName(i int) string { return "Job" + strconv.Itoa(i+1) }
 
 func defaultAgg() *core.AggFunc {
 	f := core.Default()

@@ -75,10 +75,30 @@ type ChurnResult struct {
 
 // Churn runs nJobs jobs (the first a GPT-3-like job, the rest GPT-2-like,
 // so SRPT's size bias has a victim) whose start times are spread uniformly
-// over the first spread seconds, each training for iters iterations, under
+// over the first 60 seconds, each training for iters iterations, under
 // the named scenario policy. seed fixes both the arrival pattern and the
 // jobs' noise streams.
 func Churn(policy string, nJobs, iters int, seed uint64) ChurnResult {
+	var per metrics.Series
+	res := ChurnResult{Scheme: policy}
+	for _, j := range runFluid(churnScenario(policy, nJobs, iters, seed), seed, 0).Jobs {
+		if j.Iterations() < iters {
+			continue // did not finish within the horizon
+		}
+		res.Jobs++
+		per = append(per, j.Slowdown(0))
+	}
+	if len(per) > 0 {
+		res.MeanSlowdown = per.Mean()
+		res.P95Slowdown = per.Percentile(95)
+		res.MaxSlowdown = per.Max()
+	}
+	return res
+}
+
+// churnScenario is Churn's scenario: nJobs jobs arriving at seeded
+// random offsets.
+func churnScenario(policy string, nJobs, iters int, seed uint64) *config.Scenario {
 	rng := sim.NewRNG(seed)
 	const spread = 60 // seconds over which jobs arrive
 	noStagger := 0.0
@@ -101,20 +121,5 @@ func Churn(policy string, nJobs, iters int, seed uint64) ChurnResult {
 			Iters:    iters,
 		})
 	}
-
-	var per metrics.Series
-	res := ChurnResult{Scheme: policy}
-	for _, j := range runFluid(scn, seed, 0).Jobs {
-		if j.Iterations() < iters {
-			continue // did not finish within the horizon
-		}
-		res.Jobs++
-		per = append(per, j.Slowdown(0))
-	}
-	if len(per) > 0 {
-		res.MeanSlowdown = per.Mean()
-		res.P95Slowdown = per.Percentile(95)
-		res.MaxSlowdown = per.Max()
-	}
-	return res
+	return scn
 }

@@ -64,3 +64,27 @@ func TestChurnMLTCPBeatsRenoAndSRPT(t *testing.T) {
 			srpt.MaxSlowdown, mltcp.MaxSlowdown)
 	}
 }
+
+// TestChurnLabelsTenJobsAndMore pins the labels past the ninth job: a
+// 12-job churn run names its last jobs Job10, Job11 and Job12, and
+// every job completes.
+func TestChurnLabelsTenJobsAndMore(t *testing.T) {
+	t.Parallel()
+	const (
+		nJobs = 12
+		iters = 3
+		seed  = 5
+	)
+	res := runFluid(churnScenario("mltcp", nJobs, iters, seed), seed, 0)
+	if len(res.Jobs) != nJobs {
+		t.Fatalf("%d jobs in the result, want %d", len(res.Jobs), nJobs)
+	}
+	for i, want := range []string{"Job10", "Job11", "Job12"} {
+		if got := res.Jobs[9+i].Name; got != want {
+			t.Errorf("job %d labeled %q, want %q", 10+i, got, want)
+		}
+	}
+	if r := Churn("mltcp", nJobs, iters, seed); r.Jobs != nJobs {
+		t.Errorf("Churn completed %d/%d jobs", r.Jobs, nJobs)
+	}
+}

@@ -39,8 +39,9 @@ func BenchmarkEngineCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReschedule measures the Timer Reset loop: one pooled
-// event canceled and re-armed per fire, zero allocations in steady state.
+// BenchmarkEngineReschedule measures the Timer Reset loop: the fired
+// timer re-arms itself from its own handler, filling the fired event's
+// hole, with zero allocations in steady state.
 func BenchmarkEngineReschedule(b *testing.B) {
 	e := New()
 	n := 0
@@ -119,3 +120,60 @@ func BenchmarkEngineMixedHorizon(b *testing.B) {
 		e.Run()
 	}
 }
+
+// hopDepth is the packet tier's measured event-heap depth (the 2-job
+// gpt2 dumbbell's max_heap_depth in exact_figures.json).
+const hopDepth = 14
+
+// hop is one in-flight packet's next-hop event: each fire counts itself
+// and, until the budget runs out, schedules the next hop delay later. A
+// non-nil rto is re-armed on every hop, as an ACK re-arms a sender's
+// retransmission timer.
+type hop struct {
+	n     *int
+	limit int
+	delay Time
+	rto   *Timer
+}
+
+func (h *hop) HandleEvent(e *Engine) {
+	*h.n++
+	if h.rto != nil {
+		h.rto.Reset(200 * Millisecond)
+	}
+	if *h.n < h.limit {
+		e.AfterHandler(h.delay, h)
+	}
+}
+
+// runHops fires about b.N hops of hopDepth interleaved chains with
+// distinct periods, so each handler schedules its successor among
+// hopDepth-1 other pending events. With rearm, every hop also re-arms
+// one armed RTO-style timer, as a TCP sender does on every ACK.
+func runHops(b *testing.B, rearm bool) {
+	e := New()
+	var rto *Timer
+	if rearm {
+		rto = NewTimer(e, func(*Engine) {})
+		rto.Reset(200 * Millisecond)
+	}
+	n := 0
+	hops := make([]hop, hopDepth)
+	for i := range hops {
+		hops[i] = hop{n: &n, limit: b.N, delay: Time(1000 + 37*i), rto: rto}
+	}
+	b.ResetTimer()
+	for i := range hops {
+		e.AfterHandler(Time(i), &hops[i])
+	}
+	e.Run()
+}
+
+// BenchmarkEngineHopChain is the packet path's dispatch pattern: every
+// fired event schedules the next hop among about hopDepth pending
+// events.
+func BenchmarkEngineHopChain(b *testing.B) { runHops(b, false) }
+
+// BenchmarkTimerRearm is the hop chain plus an armed RTO-style timer
+// re-armed on every hop.
+func BenchmarkTimerRearm(b *testing.B) { runHops(b, true) }

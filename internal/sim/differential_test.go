@@ -9,6 +9,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -119,6 +120,100 @@ func (e *legacyEngine) Step() bool {
 	return false
 }
 
+// legacyTimer is Timer as it was on the legacy engine: Reset cancels any
+// pending expiry and schedules a fresh event.
+type legacyTimer struct {
+	ev    *legacyEvent
+	armed bool
+	fn    func(*legacyEngine)
+}
+
+func (t *legacyTimer) Reset(e *legacyEngine, d Time) {
+	if t.armed {
+		e.Cancel(t.ev)
+	}
+	t.armed = true
+	t.ev = e.At(e.now+d, func(e *legacyEngine) {
+		t.armed = false
+		t.fn(e)
+	})
+}
+
+// action is what a fired handler does besides logging its label and
+// scheduling its children.
+type action uint8
+
+const (
+	actNone    action = iota
+	actFanOut         // schedule three children per respawn instead of one
+	actCancel         // cancel another outstanding event
+	actRearm          // re-arm a timer (in place, if it is armed)
+	actStep           // call Step re-entrantly
+	actPending        // record Pending() before and after scheduling children
+	actStop           // call Stop
+	actAll            // pending, cancel and re-arm, then fan out
+	numActions
+)
+
+// behavior is one scheduled event's handler, identical in both engines.
+type behavior struct {
+	act     action
+	respawn int  // how many times the handler schedules children
+	delay   Time // the children's delay
+	target  int  // actCancel: outstanding-event index; actRearm: timer index
+	rearm   Time // actRearm: the timer's new delay
+}
+
+func (b behavior) has(a action) bool {
+	return b.act == a || (b.act == actAll && a != actStep && a != actStop)
+}
+
+// diffEngine is what a handler's behaviour needs from either engine.
+type diffEngine interface {
+	Now() Time
+	Pending() int
+	Step() bool
+	Stop()
+}
+
+// fire runs b's action on one engine before its children are scheduled,
+// appending what the handler observes (Pending, Cancel and Step results)
+// to obs. cancel and rearm act on that engine's half of the harness.
+func (b behavior) fire(e diffEngine, obs *[]int, nIDs int, cancel func(int) bool, rearm func(int, Time)) {
+	if b.has(actPending) {
+		*obs = append(*obs, e.Pending())
+	}
+	if b.has(actCancel) && nIDs > 0 {
+		*obs = append(*obs, boolInt(cancel(b.target%nIDs)))
+	}
+	if b.has(actRearm) {
+		rearm(b.target%diffTimers, clampDelay(e.Now(), b.rearm))
+	}
+	if b.has(actStep) {
+		*obs = append(*obs, boolInt(e.Step()))
+	}
+	if b.has(actStop) {
+		e.Stop()
+	}
+}
+
+func (b behavior) children() int {
+	if b.has(actFanOut) {
+		return 3
+	}
+	return 1
+}
+
+func boolInt(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// diffTimers is how many timers the harness re-arms.
+const diffTimers = 4
+
 // diffHarness drives the production and legacy engines in lockstep and checks
 // every observable after every operation.
 type diffHarness struct {
@@ -128,43 +223,73 @@ type diffHarness struct {
 
 	engLog    []int
 	legacyLog []int
+	// What handlers observed from inside dispatch, in firing order.
+	engObs    []int
+	legacyObs []int
 
 	// Parallel outstanding-event tables: index i in both slices is the
 	// same logical event.
 	engIDs    []EventID
 	legacyIDs []*legacyEvent
 
+	// Timer k logs label -(k+1) when it fires.
+	engTimers    [diffTimers]*Timer
+	legacyTimers [diffTimers]*legacyTimer
+
 	nextLabel int
 }
 
 func newDiffHarness(t *testing.T) *diffHarness {
-	return &diffHarness{t: t, eng: New(), legacy: &legacyEngine{}}
+	h := &diffHarness{t: t, eng: New(), legacy: &legacyEngine{}}
+	for k := range h.engTimers {
+		label := -(k + 1)
+		h.engTimers[k] = NewTimer(h.eng, func(*Engine) { h.engLog = append(h.engLog, label) })
+		h.legacyTimers[k] = &legacyTimer{fn: func(*legacyEngine) { h.legacyLog = append(h.legacyLog, label) }}
+	}
+	return h
 }
 
-// schedule registers the same event (delay, optional self-respawn budget)
-// in both engines. Respawning events schedule a child from inside their
+// schedule registers the same event in both engines, delay from now.
+// When it fires, its handler runs b in each engine and, while its
+// respawn budget lasts, schedules copies of itself from inside the
 // handler, exercising schedule-during-dispatch.
-func (h *diffHarness) schedule(delay Time, respawn int, respawnDelay Time) {
+func (h *diffHarness) schedule(delay Time, b behavior) {
 	label := h.nextLabel
 	h.nextLabel++
 	// Each engine gets its own respawn budget: a shared captured counter
 	// would be decremented by whichever engine steps first and desync the
 	// other.
-	eRespawn, lRespawn := respawn, respawn
+	eRespawn, lRespawn := b.respawn, b.respawn
 	var efn func(*Engine)
 	var lfn func(*legacyEngine)
 	efn = func(e *Engine) {
 		h.engLog = append(h.engLog, label)
+		b.fire(e, &h.engObs, len(h.engIDs),
+			func(i int) bool { return e.Cancel(h.engIDs[i]) },
+			func(k int, d Time) { h.engTimers[k].Reset(d) })
 		if eRespawn > 0 {
 			eRespawn--
-			e.After(clampDelay(e.Now(), respawnDelay), efn)
+			for range b.children() {
+				e.After(clampDelay(e.Now(), b.delay), efn)
+			}
+		}
+		if b.has(actPending) {
+			h.engObs = append(h.engObs, e.Pending())
 		}
 	}
 	lfn = func(e *legacyEngine) {
 		h.legacyLog = append(h.legacyLog, label)
+		b.fire(e, &h.legacyObs, len(h.legacyIDs),
+			func(i int) bool { return e.Cancel(h.legacyIDs[i]) },
+			func(k int, d Time) { h.legacyTimers[k].Reset(e, d) })
 		if lRespawn > 0 {
 			lRespawn--
-			e.At(e.now+clampDelay(e.now, respawnDelay), lfn)
+			for range b.children() {
+				e.At(e.now+clampDelay(e.now, b.delay), lfn)
+			}
+		}
+		if b.has(actPending) {
+			h.legacyObs = append(h.legacyObs, e.Pending())
 		}
 	}
 	delay = clampDelay(h.eng.Now(), delay)
@@ -187,6 +312,14 @@ func (h *diffHarness) cancel(i int) {
 		h.t.Fatalf("Cancel(#%d): engine=%v legacy=%v", i, eg, lg)
 	}
 	h.check("cancel")
+}
+
+// rearm resets timer k in both engines, delay from now.
+func (h *diffHarness) rearm(k int, delay Time) {
+	delay = clampDelay(h.eng.Now(), delay)
+	h.engTimers[k%diffTimers].Reset(delay)
+	h.legacyTimers[k%diffTimers].Reset(h.legacy, delay)
+	h.check("rearm")
 }
 
 func (h *diffHarness) step() {
@@ -237,6 +370,14 @@ func (h *diffHarness) check(op string) {
 				op, i, h.engLog[i], h.legacyLog[i])
 		}
 	}
+	if !slices.Equal(h.engObs, h.legacyObs) {
+		h.t.Fatalf("%s: handlers observed %v (engine) vs %v (legacy)", op, h.engObs, h.legacyObs)
+	}
+	for k, tm := range h.engTimers {
+		if tm.Armed() != h.legacyTimers[k].armed {
+			h.t.Fatalf("%s: timer %d armed=%v (engine) vs %v (legacy)", op, k, tm.Armed(), h.legacyTimers[k].armed)
+		}
+	}
 }
 
 // delayFor maps a raw random value onto a delay distribution spanning
@@ -270,17 +411,20 @@ func TestDifferentialRandomSchedules(t *testing.T) {
 			r := NewRNG(uint64(trial)*0x9e3779b97f4a7c15 + 1)
 			h := newDiffHarness(t)
 			for op := 0; op < 200; op++ {
-				switch r.Intn(10) {
+				switch r.Intn(11) {
 				case 0, 1, 2, 3: // schedule-heavy mix
-					respawn := 0
+					b := behavior{act: action(r.Intn(int(numActions)))}
 					if r.Intn(4) == 0 {
-						respawn = r.Intn(3)
+						b.respawn = r.Intn(3)
 					}
-					h.schedule(delayFor(r), respawn, delayFor(r))
+					b.delay, b.target, b.rearm = delayFor(r), r.Intn(1<<20), delayFor(r)
+					h.schedule(delayFor(r), b)
 				case 4, 5:
 					h.cancel(r.Intn(1 << 20))
 				case 6, 7:
 					h.step()
+				case 8:
+					h.rearm(r.Intn(diffTimers), delayFor(r))
 				default:
 					h.runUntil(delayFor(r))
 				}
@@ -303,6 +447,17 @@ func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{0x33, 0x31, 0x18, 0x36, 0x1e, 0x44, 0x80, 0xc0})                   // cancel the last slot
 	f.Add([]byte{0x0f, 0x30, 0x0f, 0x00, 0x41, 0x80, 0x42, 0x80})                   // cancel inside a same-instant batch
 	f.Add([]byte{0x3f, 0x34, 0x3f, 0x80, 0x40, 0xc0, 0x80, 0x80, 0x3f, 0x01, 0xc0}) // schedule at MaxTime
+	// Handler actions: each seed fires at least one handler doing the
+	// named thing while other events are pending.
+	f.Add([]byte{0x03, 0x01, 0x04, 0xc0}) // 0 children, 1 child, 1 child
+	f.Add([]byte{0x0e, 0x08, 0x80})       // 3 children per fire
+	f.Add([]byte{0x04, 0x06, 0x17})       // cancel another outstanding event
+	f.Add([]byte{0x1e, 0x1d, 0x1d})       // re-arm an armed timer, twice
+	f.Add([]byte{0x04, 0x03, 0x20})       // re-entrant Step
+	f.Add([]byte{0xc0, 0xc0, 0x2e})       // Pending() inside the handler
+	f.Add([]byte{0x07, 0x04, 0xc2})       // child scheduled past the RunUntil deadline
+	f.Add([]byte{0x37, 0x30, 0xc1})       // Stop with events due before the deadline
+	f.Add([]byte{0x80, 0x3e, 0x3e})       // pending, cancel, re-arm and fan out together
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			t.Skip("op stream too long")
@@ -310,16 +465,21 @@ func FuzzEngineDifferential(f *testing.F) {
 		h := newDiffHarness(t)
 		// Each byte is one op: top 2 bits select the kind, low 6 bits
 		// seed a per-op RNG so delays are deterministic in the input.
-		// Schedule byte 0x3f schedules at MaxTime instead.
+		// A schedule byte's bits 3-5 pick its handler's action and the
+		// byte mod 3 its respawn budget; byte 0x3f schedules a plain
+		// event at MaxTime instead.
 		for i, b := range data {
 			r := NewRNG(uint64(b&0x3f)*0x9e3779b97f4a7c15 + uint64(i))
 			switch b >> 6 {
 			case 0:
 				if b == 0x3f {
-					h.schedule(MaxTime-h.eng.Now(), 0, 0)
+					h.schedule(MaxTime-h.eng.Now(), behavior{})
 					break
 				}
-				h.schedule(delayFor(r), int(b)%3, delayFor(r))
+				delay := delayFor(r)
+				bh := behavior{act: action(b >> 3), respawn: int(b) % 3, delay: delayFor(r)}
+				bh.target, bh.rearm = r.Intn(64), delayFor(r)
+				h.schedule(delay, bh)
 			case 1:
 				h.cancel(int(b & 0x3f))
 			case 2:

@@ -5,6 +5,15 @@
 // instant fire in the order they were scheduled, which makes runs reproducible
 // regardless of map iteration order or goroutine scheduling. Nothing in this
 // package (or in any simulation code built on it) reads the wall clock.
+//
+// Each fired event costs one heap sift. While a handler runs, the fired
+// event's root slot stays in the heap as a hole; the handler's first
+// schedule writes into it and sifts down once, and only if the handler
+// scheduled nothing is the hole removed when it returns. A Timer re-armed
+// while pending is re-keyed in place (a fresh sequence number, one sift)
+// instead of canceled and rescheduled. Both are exact: the heap orders on
+// the strict total key (at, seq) and every schedule takes the next seq in
+// the same order, so the pop sequence is the one a plain heap gives.
 package sim
 
 import (
@@ -110,6 +119,9 @@ type Engine struct {
 
 	heap []entry // 4-ary min-heap ordered by (at, seq)
 	free *event
+	// hole is set while heap[0] is the fired event's stale slot. Its key
+	// is below every pending key, so sifts elsewhere never cross it.
+	hole bool
 }
 
 // New returns a ready-to-run Engine with the clock at zero.
@@ -122,7 +134,12 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are currently scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // hot
 func (e *Engine) alloc() *event {
@@ -151,14 +168,20 @@ func less(a, b *entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// push schedules ev at t under the next sequence number.
+// push schedules ev at t under the next sequence number. Inside a
+// handler the first schedule fills the fired event's hole at the root.
 //
 // hot
 func (e *Engine) push(t Time, ev *event) EventID {
 	x := entry{at: t, seq: e.seq, ev: ev}
 	e.seq++
-	e.heap = append(e.heap, x)
-	e.up(len(e.heap)-1, x)
+	if e.hole {
+		e.hole = false
+		e.down(0, x)
+	} else {
+		e.heap = append(e.heap, x)
+		e.up(len(e.heap)-1, x)
+	}
 	return EventID{ev, ev.gen}
 }
 
@@ -221,11 +244,50 @@ func (e *Engine) remove(i int) {
 	if i == n {
 		return
 	}
-	if i > 0 && less(&last, &e.heap[(i-1)>>2]) {
-		e.up(i, last)
+	e.sift(i, last)
+}
+
+// sift stores x at heap position i, moving it up or down to restore
+// the heap order.
+//
+// hot
+func (e *Engine) sift(i int, x entry) {
+	if i > 0 && less(&x, &e.heap[(i-1)>>2]) {
+		e.up(i, x)
 	} else {
-		e.down(i, last)
+		e.down(i, x)
 	}
+}
+
+// closeHole removes a fired event's hole left at the root.
+//
+// hot
+func (e *Engine) closeHole() {
+	if e.hole {
+		e.hole = false
+		e.remove(0)
+	}
+}
+
+// rekey moves the pending event id to fire at t under the next sequence
+// number with one sift from its current slot, and returns its new ID;
+// the old ID goes stale. It is exactly Cancel followed by a schedule of
+// the same handler at t, which would take the same seq and reuse the
+// same node at the next generation.
+//
+// hot
+func (e *Engine) rekey(id EventID, t Time) EventID {
+	ev := id.ev
+	if ev == nil || ev.gen != id.gen {
+		panic("sim: re-keying an event that is not pending")
+	}
+	if t < e.now {
+		e.panicPast(t)
+	}
+	ev.gen++
+	e.sift(int(ev.idx), entry{at: t, seq: e.seq, ev: ev})
+	e.seq++
+	return EventID{ev, ev.gen}
 }
 
 // panicPast and panicNegative hold the panic formatting — whose fmt
@@ -321,6 +383,7 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 // hot
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
+	e.closeHole()
 	for !e.stopped && len(e.heap) > 0 && e.heap[0].at <= deadline {
 		e.fireNext()
 	}
@@ -335,6 +398,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 //
 // hot
 func (e *Engine) Step() bool {
+	e.closeHole()
 	if len(e.heap) == 0 {
 		return false
 	}
@@ -342,22 +406,26 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// fireNext pops the earliest event, advances the clock to it, and runs
-// it. The node is released before its handler runs, so the handler may
-// reschedule into it.
+// fireNext fires the earliest event: it advances the clock, releases the
+// node (so the handler may reschedule into it) and runs the handler with
+// the event's root slot left in the heap as a hole. The handler's first
+// schedule fills the hole with one sift down; if it schedules nothing,
+// the hole is removed when it returns. Re-entrant Step/RunUntil close
+// the hole first, and Pending does not count it.
 //
 // hot
 func (e *Engine) fireNext() {
 	top := e.heap[0]
-	e.remove(0)
 	ev := top.ev
 	e.now = top.at
 	e.fired++
 	fn, h := ev.fn, ev.h
 	e.release(ev)
+	e.hole = true
 	if h != nil {
 		h.HandleEvent(e)
 	} else {
 		fn(e)
 	}
+	e.closeHole()
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // Engine contract tests: Cancel/Stop interaction, generation-checked
 // EventIDs, far-future ordering, RunUntil deadlines and the alloc-free
@@ -161,6 +164,92 @@ func TestRunUntilOverflowBoundary(t *testing.T) {
 	e.Run()
 	if fired != 2 {
 		t.Errorf("fired=%d after drain, want 2", fired)
+	}
+}
+
+// rearmOrder runs a same-instant tie scenario around a timer that is
+// re-armed while armed, once from the top level and once from inside a
+// handler, and returns the firing order. viaStop re-arms with Stop
+// followed by Reset instead of Reset alone.
+func rearmOrder(viaStop bool) []string {
+	e := New()
+	var fired []string
+	record := func(label string) Handler {
+		return func(*Engine) { fired = append(fired, label) }
+	}
+	tm := NewTimer(e, record("timer"))
+	rearm := func(d Time) {
+		if viaStop {
+			tm.Stop()
+		}
+		tm.Reset(d)
+	}
+	e.At(10, record("a"))
+	tm.Reset(10)
+	e.At(10, record("b"))
+	rearm(10) // behind b, ahead of c0
+	e.At(10, record("c0"))
+	e.At(20, record("d"))
+	e.At(5, func(e *Engine) {
+		e.At(10, record("c")) // fills the fired event's hole
+		rearm(5)              // behind c, ahead of e
+		e.At(10, record("e"))
+	})
+	e.Run()
+	return fired
+}
+
+// TestTimerRearmMatchesStopReset pins the in-place re-arm: re-arming an
+// armed timer orders it among same-instant events exactly as Stop
+// followed by Reset does, behind every event scheduled before the
+// re-arm and ahead of every event scheduled after it.
+func TestTimerRearmMatchesStopReset(t *testing.T) {
+	want := []string{"a", "b", "c0", "c", "timer", "e", "d"}
+	for _, viaStop := range []bool{false, true} {
+		if got := rearmOrder(viaStop); !slices.Equal(got, want) {
+			t.Errorf("viaStop=%v: fired %v, want %v", viaStop, got, want)
+		}
+	}
+}
+
+// TestTimerRearmStaleEventID checks that re-arming retires the timer's
+// previous EventID: it cannot cancel the re-armed timer, which fires
+// once at its new expiry.
+func TestTimerRearmStaleEventID(t *testing.T) {
+	e := New()
+	var firedAt []Time
+	tm := NewTimer(e, func(e *Engine) { firedAt = append(firedAt, e.Now()) })
+	tm.Reset(10)
+	stale := tm.id
+	tm.Reset(20)
+	if e.Cancel(stale) {
+		t.Error("EventID from before the re-arm canceled the timer")
+	}
+	if !tm.Armed() || e.Pending() != 1 {
+		t.Fatalf("armed=%v pending=%d after re-arm, want true and 1", tm.Armed(), e.Pending())
+	}
+	e.Run()
+	if len(firedAt) != 1 || firedAt[0] != 20 {
+		t.Errorf("timer fired at %v, want [20ns]", firedAt)
+	}
+}
+
+// TestTimerResetNegativeDelayPanics pins Reset's panic message for a
+// negative delay, on a stopped and on an armed timer.
+func TestTimerResetNegativeDelayPanics(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		func() {
+			tm := NewTimer(New(), func(*Engine) {})
+			if armed {
+				tm.Reset(10)
+			}
+			defer func() {
+				if r := recover(); r != "sim: negative delay -1ns" {
+					t.Errorf("armed=%v: Reset(-1) panicked with %v, want %q", armed, r, "sim: negative delay -1ns")
+				}
+			}()
+			tm.Reset(-1)
+		}()
 	}
 }
 

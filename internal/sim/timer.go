@@ -22,13 +22,22 @@ func NewTimer(e *Engine, fn Handler) *Timer {
 
 // Reset arms the timer to fire d from now, replacing any pending expiry.
 // The timer schedules itself as an EventHandler, so re-arming (the common
-// RTO/pacing pattern) allocates nothing.
+// RTO/pacing pattern) allocates nothing. Re-arming a pending timer
+// re-keys its event in place: it takes the next sequence number and the
+// new time and sifts once, which orders it exactly as Stop followed by a
+// fresh schedule would, and the previous EventID goes stale.
 //
 // hot
 func (t *Timer) Reset(d Time) {
-	t.Stop()
-	t.expiry = t.e.Now() + d
-	t.id = t.e.AfterHandler(d, t)
+	if d < 0 {
+		panicNegative(d)
+	}
+	t.expiry = t.e.now + d
+	if t.armed {
+		t.id = t.e.rekey(t.id, t.expiry)
+		return
+	}
+	t.id = t.e.AtHandler(t.expiry, t)
 	t.armed = true
 }
 
