@@ -1,10 +1,10 @@
 # Developer entry points. Everything here is plain `go` tooling; the
 # only non-standard piece is cmd/mltcp-lint, the repo's own analyzer
-# suite (see docs/EXTENDING.md §7 and §12).
+# suite (see docs/EXTENDING.md §7 and §12), run by `make lint` and CI.
 
 GO ?= go
 
-.PHONY: build test race lint vet-lint diff bench corpus train profile clean
+.PHONY: build test race lint diff bench corpus train profile clean
 
 build:
 	$(GO) build ./...
@@ -15,20 +15,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One-shot static analysis: the seven mltcp analyzers over the module,
-# facts accumulated in memory across the dependency graph. Exits
-# non-zero on any unsuppressed finding.
+# Static analysis: the seven mltcp analyzers over the module, facts
+# accumulated in memory across the dependency graph — the command CI
+# runs. Exits non-zero on any unsuppressed finding.
 lint:
 	$(GO) run ./cmd/mltcp-lint ./...
-
-# The same suite driven through `go vet`, sharing vet's per-package
-# caching (fact files travel through the vetx channel) — faster on
-# incremental runs, and exactly what CI executes.
-vet-lint: bin/mltcp-lint
-	$(GO) vet -vettool=bin/mltcp-lint ./...
-
-bin/mltcp-lint: $(wildcard internal/lint/*.go) $(wildcard cmd/mltcp-lint/*.go) go.mod
-	$(GO) build -o $@ ./cmd/mltcp-lint
 
 # Structurally diff two JSONL traces (docs/EXTENDING.md §13): exits 0
 # when byte-identical, 1 when only metadata (revision) differs, 2 on
@@ -69,4 +60,4 @@ profile:
 	@echo "profiles written: go tool pprof profiles/cpu.pprof"
 
 clean:
-	rm -rf bin profiles .perfgate
+	rm -rf profiles .perfgate

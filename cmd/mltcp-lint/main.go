@@ -4,25 +4,17 @@
 // behind the byte-identical-replay contract that generic linters
 // cannot see. The suite is interprocedural: per-function facts
 // (allocates, usesWallClock, rngSource, spawnsGoroutine) are computed
-// bottom-up over the call graph and carried across package boundaries —
-// in memory when standalone, through vet's vetx facts channel as a
-// vettool.
+// bottom-up over the call graph and carried across package boundaries
+// in memory.
 //
-// Standalone:
-//
-//	mltcp-lint ./...
-//	mltcp-lint -list
-//
-// As a vet tool (shares go vet's caching and package graph):
-//
-//	go build -o bin/mltcp-lint ./cmd/mltcp-lint
-//	go vet -vettool=bin/mltcp-lint ./...
+//	go run ./cmd/mltcp-lint ./...
+//	go run ./cmd/mltcp-lint -list
 //
 // Findings are suppressed line by line with a justified marker:
 //
 //	//lint:allow <analyzer> <reason...>
 //
-// Exit status: 0 clean, 1 driver error, 2+ findings (vet convention).
+// Exit status: 0 clean, 1 driver error, 2 findings.
 package main
 
 import (
@@ -34,17 +26,9 @@ import (
 )
 
 func main() {
-	// `go vet` speaks its own protocol: a -V=full version query or a
-	// single pkg.cfg argument. Detect it before flag parsing so the
-	// standalone flags don't interfere.
-	if args := os.Args[1:]; lint.VettoolArgs(args) {
-		os.Exit(lint.VettoolMain("mltcp-lint", args, lint.Analyzers(), os.Stdout, os.Stderr))
-	}
-
 	listFlag := flag.Bool("list", false, "describe the analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: mltcp-lint [-list] packages...\n       go vet -vettool=$(command -v mltcp-lint) packages...\n")
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: mltcp-lint [-list] packages...")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

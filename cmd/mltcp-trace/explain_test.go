@@ -2,13 +2,11 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"strings"
 	"testing"
 
 	"mltcp/internal/backend"
-	"mltcp/internal/obs"
 	"mltcp/internal/telemetry"
 )
 
@@ -84,66 +82,6 @@ func TestRunExplainMode(t *testing.T) {
 	}
 	*jsonFlag = true
 	defer func() { *jsonFlag = false }()
-	if err := run(path); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWriteProm pins the -prom rendering over a real run's trace: every
-// line is valid exposition syntax (obs.ValidatePromText), counters
-// surface as sanitized *_total families, and gauges and histograms as
-// their own families. No backend sets a gauge today, so the test sets
-// one on the run's registry before the trace is written.
-func TestWriteProm(t *testing.T) {
-	rec, buf, reg := telemetry.NewBuffered(telemetry.Options{})
-	if _, err := (&backend.Fluid{}).Run(telemetry.WithRecorder(context.Background(), rec), tracedScenario(), 1); err != nil {
-		t.Fatal(err)
-	}
-	reg.Gauge("test.queue-depth").Set(2.5)
-	var enc bytes.Buffer
-	if err := telemetry.Write(&enc, rec.Manifest(), buf.Events(), reg); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := telemetry.Read(&enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := writeProm(&out, tr); err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-	if err := obs.ValidatePromText(text); err != nil {
-		t.Fatalf("%v in:\n%s", err, text)
-	}
-	for _, want := range []string{
-		"# TYPE mltcp_trace_job_iterations_total counter\n",
-		"# TYPE mltcp_trace_test_queue_depth gauge\nmltcp_trace_test_queue_depth 2.5\n",
-		"# TYPE mltcp_trace_job_comm_seconds histogram\n",
-		`mltcp_trace_job_comm_seconds_bucket{le="+Inf"} `,
-		"mltcp_trace_job_comm_seconds_count ",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("prom output missing %q:\n%s", want, text)
-		}
-	}
-
-	// A metrics-less (predicted) trace renders as empty exposition, not
-	// an error.
-	var empty bytes.Buffer
-	if err := writeProm(&empty, &telemetry.Trace{Manifest: tr.Manifest}); err != nil {
-		t.Fatal(err)
-	}
-	if empty.Len() != 0 {
-		t.Fatalf("metrics-less trace produced output: %q", empty.String())
-	}
-}
-
-// TestRunPromMode drives run() end to end with -prom set.
-func TestRunPromMode(t *testing.T) {
-	path, _ := writeTestTrace(t)
-	*promFlag = true
-	defer func() { *promFlag = false }()
 	if err := run(path); err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,6 @@ var (
 	jsonFlag    = flag.Bool("json", false, "emit the summary as stable machine-readable JSON instead of text")
 	explainFlag = flag.Bool("explain", false,
 		"explain the run instead of summarizing it: interleave verdict, phase bands, and per-iteration bottleneck attribution (with -json, the interleave report as stable JSON)")
-	promFlag = flag.Bool("prom", false,
-		"emit the trace's metrics snapshot in Prometheus text exposition format")
 )
 
 func main() {
@@ -54,9 +52,6 @@ func run(path string) error {
 	tr, err := telemetry.ReadTrace(path)
 	if err != nil {
 		return err
-	}
-	if *promFlag {
-		return writeProm(os.Stdout, tr)
 	}
 	if *explainFlag {
 		return explain(os.Stdout, tr, *jsonFlag)

@@ -1,28 +1,22 @@
 // Function facts: the interprocedural layer of the suite. A fact is a
-// small, serializable statement about one function — "allocates per
-// call", "reads the wall clock", "is an RNG source", "spawns a
-// goroutine" — computed bottom-up over the call graph (Summarize) and
-// carried between packages either in memory (the standalone driver) or
-// through the vetx facts channel of the `go vet -vettool` protocol
-// (vettool.go). Downstream analyzers (hotcall, seedflow, concguard, and
-// the interprocedural half of simdeterminism) consume facts instead of
-// re-reading callee bodies, which is what lets a per-package driver see
-// across package boundaries.
+// small statement about one function — "allocates per call", "reads
+// the wall clock", "is an RNG source", "spawns a goroutine" — computed
+// bottom-up over the call graph (Summarize) and carried between
+// packages in one in-memory store. Downstream analyzers (hotcall,
+// seedflow, concguard, and the interprocedural half of simdeterminism)
+// consume facts instead of re-reading callee bodies, which is what lets
+// a per-package analysis see across package boundaries.
 //
-// The encoding is versioned and deterministic: rows are sorted by
-// function key and every field is rendered canonically, so the same
-// package summarized any number of times — under any worker count or
-// package order — produces byte-identical fact files. vet's action
-// cache depends on that.
+// Summaries are deterministic: the same package summarized any number
+// of times yields an equal store, so repeated runs report the same
+// findings with the same witnesses.
 
 package lint
 
 import (
-	"bytes"
 	"fmt"
 	"go/types"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -96,7 +90,7 @@ type FuncFact struct {
 }
 
 // IsZero reports whether the record carries no information (and so is
-// omitted from the store and its encoding).
+// omitted from the store).
 func (f FuncFact) IsZero() bool {
 	return f.Flags == 0 && len(f.SeedParams) == 0
 }
@@ -148,7 +142,7 @@ func shortFuncName(f *types.Func) string {
 }
 
 // A FactStore holds the facts known to one analysis run: the current
-// package's plus everything merged from its dependencies.
+// package's plus everything summarized from its dependencies.
 type FactStore struct {
 	funcs map[string]FuncFact
 }
@@ -177,8 +171,8 @@ func (s *FactStore) Lookup(f *types.Func) FuncFact {
 	return s.funcs[FuncKey(f)]
 }
 
-// Set records a fact, sanitizing witness strings so the line-oriented
-// encoding stays unambiguous. Zero records are dropped.
+// Set records a fact, sanitizing witness strings so they stay on one
+// line. Zero records are dropped.
 func (s *FactStore) Set(key string, f FuncFact) {
 	if f.IsZero() {
 		delete(s.funcs, key)
@@ -191,45 +185,8 @@ func (s *FactStore) Set(key string, f FuncFact) {
 	s.funcs[key] = f
 }
 
-// Len returns the number of recorded functions.
-func (s *FactStore) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.funcs)
-}
-
-// Keys returns the recorded function keys in sorted (encoding) order.
-func (s *FactStore) Keys() []string {
-	if s == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(s.funcs))
-	for k := range s.funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Merge copies every record of o into s. Facts are write-once per
-// function (each is computed exactly once, in its defining package), so
-// merge order cannot change the result.
-func (s *FactStore) Merge(o *FactStore) {
-	if o == nil {
-		return
-	}
-	for k, f := range o.funcs {
-		s.funcs[k] = f
-	}
-}
-
-// factsVersion heads every encoded fact file. Bump it on any format
-// change: decoders reject unknown versions rather than misparse.
-const factsVersion = "mltcp-facts/v1"
-
-// sanitizeWhy keeps witness strings single-line and tab-free so they
-// embed safely in the tab-separated row format.
+// sanitizeWhy keeps witness strings single-line: every diagnostic
+// that cites a fact threads its witness into one output line.
 func sanitizeWhy(s string) string {
 	return strings.Map(func(r rune) rune {
 		switch r {
@@ -238,95 +195,4 @@ func sanitizeWhy(s string) string {
 		}
 		return r
 	}, s)
-}
-
-// encodeField renders a possibly-empty string field ("-" marks empty,
-// and is unambiguous because witnesses always contain a space).
-func encodeField(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
-}
-
-func decodeField(s string) string {
-	if s == "-" {
-		return ""
-	}
-	return s
-}
-
-// Encode renders the store in the versioned, deterministic row format:
-//
-//	mltcp-facts/v1
-//	<func key> \t <flags> \t <seed params> \t <alloc> \t <clock> \t <spawn>
-//
-// Rows are sorted by key; repeated encodings of equal stores are
-// byte-identical.
-func (s *FactStore) Encode() []byte {
-	var buf bytes.Buffer
-	buf.WriteString(factsVersion)
-	buf.WriteByte('\n')
-	for _, key := range s.Keys() {
-		f := s.funcs[key]
-		params := "-"
-		if len(f.SeedParams) > 0 {
-			parts := make([]string, len(f.SeedParams))
-			for i, p := range f.SeedParams {
-				parts[i] = strconv.Itoa(p)
-			}
-			params = strings.Join(parts, ",")
-		}
-		fmt.Fprintf(&buf, "%s\t%d\t%s\t%s\t%s\t%s\n",
-			key, f.Flags, params,
-			encodeField(f.AllocWhy), encodeField(f.ClockWhy), encodeField(f.SpawnWhy))
-	}
-	return buf.Bytes()
-}
-
-// DecodeFacts parses an encoded store. Empty input decodes to an empty
-// store (the shape of a vetx file written before this tier existed, and
-// of the stub emitted for non-module packages).
-func DecodeFacts(data []byte) (*FactStore, error) {
-	s := NewFactStore()
-	if len(data) == 0 {
-		return s, nil
-	}
-	lines := strings.Split(string(data), "\n")
-	if lines[0] != factsVersion {
-		return nil, fmt.Errorf("lint: unknown facts version %q (want %q)", lines[0], factsVersion)
-	}
-	for i, line := range lines[1:] {
-		if line == "" {
-			continue
-		}
-		cols := strings.Split(line, "\t")
-		if len(cols) != 6 {
-			return nil, fmt.Errorf("lint: facts row %d: %d columns, want 6", i+2, len(cols))
-		}
-		flags, err := strconv.ParseUint(cols[1], 10, 8)
-		if err != nil {
-			return nil, fmt.Errorf("lint: facts row %d: bad flags %q: %v", i+2, cols[1], err)
-		}
-		f := FuncFact{
-			Flags:    FactSet(flags),
-			AllocWhy: decodeField(cols[3]),
-			ClockWhy: decodeField(cols[4]),
-			SpawnWhy: decodeField(cols[5]),
-		}
-		if cols[2] != "-" {
-			for _, p := range strings.Split(cols[2], ",") {
-				idx, err := strconv.Atoi(p)
-				if err != nil {
-					return nil, fmt.Errorf("lint: facts row %d: bad seed param %q: %v", i+2, p, err)
-				}
-				f.SeedParams = append(f.SeedParams, idx)
-			}
-		}
-		if f.IsZero() {
-			return nil, fmt.Errorf("lint: facts row %d: empty record for %q", i+2, cols[0])
-		}
-		s.funcs[cols[0]] = f
-	}
-	return s, nil
 }

@@ -11,15 +11,13 @@
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
 // Analyzer, Pass, Diagnostic — but is built on the standard library
 // alone: packages are enumerated with `go list -export`, type-checked
-// with go/types against compiler export data, and driven either
-// standalone (cmd/mltcp-lint ./...) or as a `go vet -vettool`
-// unitchecker (see vettool.go).
+// with go/types against compiler export data, and driven by one
+// command (cmd/mltcp-lint ./...).
 //
-// Since PR 9 the suite is interprocedural: Summarize computes per-
-// function facts (facts.go) bottom-up over each package's call graph,
-// and analyzers read them through Pass.Facts. The standalone driver
-// accumulates facts in memory across `go list -deps` order; the vettool
-// driver serializes them through vet's vetx facts channel.
+// The suite is interprocedural: Summarize computes per-function facts
+// (facts.go) bottom-up over each package's call graph, and analyzers
+// read them through Pass.Facts. The driver accumulates facts in memory
+// across `go list -deps` order.
 //
 // Findings are suppressed with a justified marker on the offending line
 // or the line above:
@@ -60,7 +58,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Facts holds the function facts visible to this package: its own
-	// (Summarize runs before analysis) plus everything merged from its
+	// (Summarize runs before analysis) plus everything summarized from its
 	// dependencies. Never nil in driver-constructed passes; FactStore's
 	// methods are nil-safe regardless.
 	Facts *FactStore

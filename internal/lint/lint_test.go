@@ -2,8 +2,6 @@ package lint_test
 
 import (
 	"os"
-	"os/exec"
-	"path/filepath"
 	"testing"
 
 	"mltcp/internal/lint"
@@ -139,48 +137,7 @@ func TestRepositoryClean(t *testing.T) {
 	}
 }
 
-// TestVettoolProtocol exercises the `go vet -vettool` integration end to
-// end: build the multichecker, then let go vet drive it over a real
-// package through the unitchecker protocol (version query, .cfg files,
-// facts plumbing).
-func TestVettoolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the vettool binary")
-	}
-	bin := filepath.Join(t.TempDir(), "mltcp-lint")
-	build := exec.Command("go", "build", "-o", bin, "mltcp/cmd/mltcp-lint")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building vettool: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin, "mltcp/internal/sim", "mltcp/internal/tcp")
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool on clean packages: %v\n%s", err, out)
-	}
-}
-
-// TestVettoolArgs pins the protocol detection that routes go vet's
-// invocations away from the standalone flag parser.
-func TestVettoolArgs(t *testing.T) {
-	cases := []struct {
-		args []string
-		want bool
-	}{
-		{[]string{"-V=full"}, true},
-		{[]string{"-flags"}, true},
-		{[]string{"/tmp/pkg.cfg"}, true},
-		{[]string{"./..."}, false},
-		{[]string{"-list"}, false},
-		{[]string{}, false},
-		{[]string{"/tmp/a.cfg", "/tmp/b.cfg"}, false},
-	}
-	for _, c := range cases {
-		if got := lint.VettoolArgs(c.args); got != c.want {
-			t.Errorf("VettoolArgs(%v) = %v, want %v", c.args, got, c.want)
-		}
-	}
-}
-
-// TestStandaloneRunScoped runs the standalone driver over one small
+// TestStandaloneRunScoped runs the driver over one small
 // clean package as a smoke test of the go list + export-data loader.
 func TestStandaloneRunScoped(t *testing.T) {
 	diags, err := lint.Run("", []string{"mltcp/internal/units"}, lint.Analyzers())

@@ -70,7 +70,7 @@ type PkgFixture struct {
 // paths (shadowing real export data, so a fixture can impersonate
 // mltcp/internal/sim and be imported by a second fixture package), and
 // each package is summarized into a shared fact store before the next
-// is checked — exactly the standalone driver's dependency-order
+// is checked — exactly lint.Run's dependency-order
 // pipeline. Diagnostics from every package are matched against `// want`
 // expectations across all files.
 func RunPkgs(t *testing.T, a *lint.Analyzer, pkgs ...PkgFixture) {

@@ -1,4 +1,4 @@
-// Package loading for the standalone driver: enumerate packages with
+// Package loading for the lint driver: enumerate packages with
 // `go list -export`, then type-check from source against the compiler's
 // export data. This reproduces the part of golang.org/x/tools/go/packages
 // the suite needs, with no dependency outside the standard library and no
@@ -184,8 +184,7 @@ func modulePath(path string) bool {
 // returning every surviving diagnostic across all packages. Because
 // Load yields the module dependency closure in dependencies-first
 // order, each package is summarized into a shared in-memory fact store
-// before any of its dependents is analyzed — the standalone equivalent
-// of the vetx fact files `go vet` threads between vettool invocations.
+// before any of its dependents is analyzed.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	fset, pkgs, err := Load(dir, patterns...)
 	if err != nil {

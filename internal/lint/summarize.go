@@ -1,10 +1,9 @@
 // Summarize computes the function facts for one package: the bottom-up
 // half of the interprocedural tier. Drivers call it for every module
 // package in dependency order — facts for a package's callees are
-// already in the store (merged from vetx files under `go vet`, or
-// accumulated in memory by the standalone driver) by the time the
-// package itself is summarized — and intra-package call chains,
-// including recursion, converge through a fixed-point iteration.
+// already in the store by the time the package itself is summarized —
+// and intra-package call chains, including recursion, converge
+// through a fixed-point iteration.
 //
 // Facts respect //lint:allow: a suppressed leaf site (a justified
 // boxing line, the sanctioned wall-clock read in internal/obs) produces
