@@ -257,3 +257,44 @@ func TestHotPathGoldenTraces(t *testing.T) {
 		t.Logf("wrote %s (%d points)", goldenPath, len(got))
 	}
 }
+
+// TestLimiterDropCounts pins how many high-rate emissions the sampling
+// limiter suppresses and how many events a traced run buffers, on one
+// fluid and one packet point. TestHotPathGoldenTraces hashes the stream
+// without FlushLimiterStats, so it cannot see a change that computes or
+// drops a different number of samples while keeping the survivors; the
+// counts were recorded before the limiter check moved ahead of the
+// payload computation and must not move with it.
+func TestLimiterDropCounts(t *testing.T) {
+	want := map[string]struct{ dropped, buffered int64 }{
+		"fluid/fourjobs":  {84901, 4427},
+		"packet/fourjobs": {213654, 3835},
+	}
+	found := 0
+	for _, pt := range hotpathPoints() {
+		w, ok := want[pt.name]
+		if !ok {
+			continue
+		}
+		found++
+		t.Run(pt.name, func(t *testing.T) {
+			b, err := backend.New(pt.backendName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, buf, _ := telemetry.NewBuffered(telemetry.Options{})
+			if _, err := b.Run(telemetry.WithRecorder(context.Background(), rec), pt.load(t), 1); err != nil {
+				t.Fatal(err)
+			}
+			if got := rec.DroppedByLimiter(); got != w.dropped {
+				t.Errorf("DroppedByLimiter = %d, want %d", got, w.dropped)
+			}
+			if got := int64(buf.Len()); got != w.buffered {
+				t.Errorf("buffered %d events, want %d", got, w.buffered)
+			}
+		})
+	}
+	if found != len(want) {
+		t.Fatalf("found %d of the %d pinned points among hotpathPoints", found, len(want))
+	}
+}

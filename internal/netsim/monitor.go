@@ -90,8 +90,8 @@ func (m *BandwidthMonitor) FlowBytes(f FlowID) int64 {
 
 // EmitTo replays the monitor's per-flow buckets as KindBandwidth events
 // (one per non-empty bucket, timestamped at the bucket's end). Call after
-// the run; telemetry.Write's stable sort interleaves them with the live
-// event stream deterministically.
+// the run; telemetry.Write's merge by time interleaves them with the
+// live event stream deterministically.
 func (m *BandwidthMonitor) EmitTo(rec *telemetry.Recorder) {
 	if !rec.Enabled() {
 		return
