@@ -21,6 +21,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -73,7 +74,11 @@ func run(w io.Writer, pathA, pathB string, contextN int, asJSON bool) (int, erro
 	}
 	d := diagnose.Compare(a, b, diagnose.Options{Context: contextN})
 	if asJSON {
-		if _, err := w.Write(append(d.AppendJSON(nil), '\n')); err != nil {
+		b, err := json.Marshal(d)
+		if err != nil {
+			return exitError, err
+		}
+		if _, err := w.Write(append(b, '\n')); err != nil {
 			return exitError, err
 		}
 	} else if err := d.WriteText(w, pathA, pathB); err != nil {

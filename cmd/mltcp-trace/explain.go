@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 
 	"mltcp/internal/diagnose"
@@ -14,14 +15,18 @@ const maxAttributedIters = 8
 // explain renders the diagnose layer's view of the trace: the interleave
 // verdict with its timeline and locked bands, followed by per-iteration
 // bottleneck attribution. With asJSON, only the interleave report is
-// emitted, as one stable JSON document.
+// emitted, as one JSON document.
 func explain(w io.Writer, tr *telemetry.Trace, asJSON bool) error {
 	rep, err := diagnose.Explain(tr)
 	if err != nil {
 		return err
 	}
 	if asJSON {
-		_, err := w.Write(append(rep.AppendJSON(nil), '\n'))
+		b, err := json.Marshal(rep)
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(append(b, '\n'))
 		return err
 	}
 	if err := rep.WriteText(w, 0); err != nil {

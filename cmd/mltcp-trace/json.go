@@ -1,11 +1,8 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"strconv"
 
 	"mltcp/internal/backend"
 	"mltcp/internal/sim"
@@ -16,142 +13,121 @@ import (
 // incompatible change to its field set.
 const summarySchema = 1
 
+// quarters is how many equal spans of the horizon overlap_quarters
+// scores.
+const quarters = 4
+
+// summary is the -json document. Durations are integer nanoseconds.
+type summary struct {
+	Kind             string              `json:"kind"`
+	Schema           int                 `json:"schema"`
+	Manifest         *telemetry.Manifest `json:"manifest"`
+	Events           int                 `json:"events"`
+	DroppedByLimiter int64               `json:"dropped_by_limiter"`
+	InterleavedAt    int                 `json:"interleaved_at"`
+	Overlap          float64             `json:"overlap"`
+	Jobs             []jobSummary        `json:"jobs"`
+	OverlapQuarters  [quarters]float64   `json:"overlap_quarters"`
+	Cluster          *clusterSummary     `json:"cluster,omitempty"`
+	Metrics          *telemetry.Snapshot `json:"metrics,omitempty"`
+}
+
+type jobSummary struct {
+	Flow         int     `json:"flow"`
+	Name         string  `json:"name"`
+	Profile      string  `json:"profile"`
+	Iterations   int     `json:"iterations"`
+	SteadyIterNS int64   `json:"steady_iter_ns"`
+	IdealNS      int64   `json:"ideal_ns"`
+	Slowdown     float64 `json:"slowdown"`
+	// congestion is nil, and its keys absent, for flows that emitted no
+	// congestion events.
+	*congestion
+}
+
+// clusterSummary is backend.ClusterResult with json tags (it converts
+// field for field). Tagging the backend type itself would change how a
+// whole backend.Result encodes.
+type clusterSummary struct {
+	Topology        string  `json:"topology"`
+	Racks           int     `json:"racks"`
+	Links           int     `json:"links"`
+	SharingPairs    int     `json:"sharing_pairs"`
+	DisjointPairs   int     `json:"disjoint_pairs"`
+	SharedOverlap   float64 `json:"shared_overlap"`
+	DisjointOverlap float64 `json:"disjoint_overlap"`
+}
+
+type congestion struct {
+	Retx        int     `json:"retx"`
+	RTO         int     `json:"rto"`
+	Recoveries  int     `json:"recoveries"`
+	CwndSamples int     `json:"cwnd_samples"`
+	FinalCwnd   float64 `json:"final_cwnd"`
+	FinalFactor float64 `json:"final_factor"`
+}
+
 // writeJSON emits the full summary — manifest, recomputed interleaving
 // scores, per-job iteration and congestion tables, overlap per quarter,
-// and the metrics snapshot — as one stable JSON document. It follows the
-// encoder conventions of internal/telemetry/jsonl.go: hand-rolled fixed
-// field order, durations as integer nanoseconds, floats in their
-// shortest exact representation, sub-objects that already have a stable
-// schema (manifest, metrics) embedded via encoding/json. Equal traces
-// therefore serialize to equal bytes.
+// and the metrics snapshot — as one JSON document.
 func writeJSON(w io.Writer, tr *telemetry.Trace, res *backend.Result, skip int) error {
-	appendF := func(b []byte, v float64) []byte {
-		return strconv.AppendFloat(b, v, 'g', -1, 64)
+	doc := summary{
+		Kind:          "trace-summary",
+		Schema:        summarySchema,
+		Manifest:      tr.Manifest,
+		Events:        len(tr.Events),
+		InterleavedAt: res.InterleavedAt,
+		Overlap:       res.OverlapScore,
+		Jobs:          make([]jobSummary, len(res.Jobs)),
+		Metrics:       tr.Metrics,
+	}
+	// The recorder's sampling-limiter drop count is flushed into the
+	// trace registry at write time (0 for traces predating the counter).
+	if tr.Metrics != nil {
+		doc.DroppedByLimiter = tr.Metrics.Counters[telemetry.LimiterDropsMetric]
 	}
 
-	b := []byte(`{"kind":"trace-summary","schema":`)
-	b = strconv.AppendInt(b, summarySchema, 10)
+	stats, _ := collectFlowStats(tr.Events)
+	for i := range res.Jobs {
+		j := &res.Jobs[i]
+		js := jobSummary{
+			Name:         j.Name,
+			Profile:      j.Profile,
+			Iterations:   j.Iterations(),
+			SteadyIterNS: int64(j.SteadyIter(skip)),
+			IdealNS:      int64(j.Ideal),
+			Slowdown:     j.Slowdown(skip),
+		}
+		if i < len(tr.Manifest.Jobs) {
+			js.Flow = tr.Manifest.Jobs[i].Flow
+		}
+		if s, ok := stats[js.Flow]; ok {
+			js.congestion = &congestion{
+				Retx:        s.retx,
+				RTO:         s.rto,
+				Recoveries:  s.recoveries,
+				CwndSamples: s.cwndSamples,
+				FinalCwnd:   s.lastCwnd,
+				FinalFactor: s.lastFactor,
+			}
+		}
+		doc.Jobs[i] = js
+	}
 
-	mb, err := json.Marshal(tr.Manifest)
+	for q := range doc.OverlapQuarters {
+		from, until := res.Duration*sim.Time(q)/quarters, res.Duration*sim.Time(q+1)/quarters
+		doc.OverlapQuarters[q] = backend.OverlapScoreOf(res.Jobs, from, until)
+	}
+
+	if c := res.Cluster; c != nil {
+		cs := clusterSummary(*c)
+		doc.Cluster = &cs
+	}
+
+	b, err := json.Marshal(doc)
 	if err != nil {
 		return err
 	}
-	b = append(b, `,"manifest":`...)
-	b = append(b, mb...)
-
-	b = append(b, `,"events":`...)
-	b = strconv.AppendInt(b, int64(len(tr.Events)), 10)
-	// DroppedByLimiter is the recorder's sampling-limiter drop count,
-	// flushed into the trace registry at write time (0 for traces
-	// predating the counter).
-	var dropped int64
-	if tr.Metrics != nil {
-		dropped = tr.Metrics.Counters[telemetry.LimiterDropsMetric]
-	}
-	b = append(b, `,"dropped_by_limiter":`...)
-	b = strconv.AppendInt(b, dropped, 10)
-	b = append(b, `,"interleaved_at":`...)
-	b = strconv.AppendInt(b, int64(res.InterleavedAt), 10)
-	b = append(b, `,"overlap":`...)
-	b = appendF(b, res.OverlapScore)
-
-	stats, _ := collectFlowStats(tr.Events)
-	b = append(b, `,"jobs":[`...)
-	for i := range res.Jobs {
-		j := &res.Jobs[i]
-		flow := 0
-		if i < len(tr.Manifest.Jobs) {
-			flow = tr.Manifest.Jobs[i].Flow
-		}
-		if i > 0 {
-			b = append(b, ',')
-		}
-		nb, err := json.Marshal(j.Name)
-		if err != nil {
-			return err
-		}
-		pb, err := json.Marshal(j.Profile)
-		if err != nil {
-			return err
-		}
-		b = append(b, `{"flow":`...)
-		b = strconv.AppendInt(b, int64(flow), 10)
-		b = append(b, `,"name":`...)
-		b = append(b, nb...)
-		b = append(b, `,"profile":`...)
-		b = append(b, pb...)
-		b = append(b, `,"iterations":`...)
-		b = strconv.AppendInt(b, int64(j.Iterations()), 10)
-		b = append(b, `,"steady_iter_ns":`...)
-		b = strconv.AppendInt(b, int64(j.SteadyIter(skip)), 10)
-		b = append(b, `,"ideal_ns":`...)
-		b = strconv.AppendInt(b, int64(j.Ideal), 10)
-		b = append(b, `,"slowdown":`...)
-		b = appendF(b, j.Slowdown(skip))
-		if s, ok := stats[flow]; ok {
-			b = append(b, `,"retx":`...)
-			b = strconv.AppendInt(b, int64(s.retx), 10)
-			b = append(b, `,"rto":`...)
-			b = strconv.AppendInt(b, int64(s.rto), 10)
-			b = append(b, `,"recoveries":`...)
-			b = strconv.AppendInt(b, int64(s.recoveries), 10)
-			b = append(b, `,"cwnd_samples":`...)
-			b = strconv.AppendInt(b, int64(s.cwndSamples), 10)
-			b = append(b, `,"final_cwnd":`...)
-			b = appendF(b, s.lastCwnd)
-			b = append(b, `,"final_factor":`...)
-			b = appendF(b, s.lastFactor)
-		}
-		b = append(b, '}')
-	}
-	b = append(b, ']')
-
-	b = append(b, `,"overlap_quarters":[`...)
-	const parts = 4
-	for q := sim.Time(0); q < parts; q++ {
-		if q > 0 {
-			b = append(b, ',')
-		}
-		b = appendF(b, backend.OverlapScoreOf(res.Jobs, res.Duration*q/parts, res.Duration*(q+1)/parts))
-	}
-	b = append(b, ']')
-
-	if c := res.Cluster; c != nil {
-		tb, err := json.Marshal(c.Topology)
-		if err != nil {
-			return err
-		}
-		b = append(b, `,"cluster":{"topology":`...)
-		b = append(b, tb...)
-		b = append(b, `,"racks":`...)
-		b = strconv.AppendInt(b, int64(c.Racks), 10)
-		b = append(b, `,"links":`...)
-		b = strconv.AppendInt(b, int64(c.Links), 10)
-		b = append(b, `,"sharing_pairs":`...)
-		b = strconv.AppendInt(b, int64(c.SharingPairs), 10)
-		b = append(b, `,"disjoint_pairs":`...)
-		b = strconv.AppendInt(b, int64(c.DisjointPairs), 10)
-		b = append(b, `,"shared_overlap":`...)
-		b = appendF(b, c.SharedOverlap)
-		b = append(b, `,"disjoint_overlap":`...)
-		b = appendF(b, c.DisjointOverlap)
-		b = append(b, '}')
-	}
-
-	if tr.Metrics != nil {
-		sb, err := json.Marshal(tr.Metrics)
-		if err != nil {
-			return err
-		}
-		b = append(b, `,"metrics":`...)
-		b = append(b, sb...)
-	}
-	b = append(b, '}', '\n')
-
-	if !json.Valid(b) {
-		return fmt.Errorf("mltcp-trace: internal error: summary is not valid JSON")
-	}
-	bw := bufio.NewWriter(w)
-	bw.Write(b)
-	return bw.Flush()
+	_, err = w.Write(append(b, '\n'))
+	return err
 }

@@ -13,8 +13,8 @@ import (
 	"mltcp/internal/telemetry"
 )
 
-// summarize renders the -json summary of a test trace into memory.
-func summarize(t *testing.T, path string) []byte {
+// readTrace decodes a test trace file.
+func readTrace(t *testing.T, path string) *telemetry.Trace {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -25,6 +25,12 @@ func summarize(t *testing.T, path string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+// summarize renders the -json summary of a decoded trace into memory.
+func summarize(t *testing.T, tr *telemetry.Trace) []byte {
+	t.Helper()
 	res, err := backend.ResultFromTrace(tr.Manifest, tr.Events)
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +44,8 @@ func summarize(t *testing.T, path string) []byte {
 
 func TestJSONSummaryStableAndComplete(t *testing.T) {
 	path, res := writeTestTrace(t)
-	first := summarize(t, path)
-	second := summarize(t, path)
+	first := summarize(t, readTrace(t, path))
+	second := summarize(t, readTrace(t, path))
 	if !bytes.Equal(first, second) {
 		t.Fatal("equal traces summarized to different bytes")
 	}
@@ -112,12 +118,45 @@ func TestJSONSummaryStableAndComplete(t *testing.T) {
 	if doc.Metrics == nil || doc.Metrics.Counters["job.iterations"] == 0 {
 		t.Fatalf("metrics snapshot missing or empty: %+v", doc.Metrics)
 	}
+
+	// Absent blocks stay absent: a dumbbell summary has no cluster key,
+	// and a job whose flow emitted no congestion events (here flow 2,
+	// with its agg samples, the fluid tier's only ones, dropped) has none
+	// of the retx…final_factor keys.
+	tr := readTrace(t, path)
+	kept := tr.Events[:0]
+	for _, e := range tr.Events {
+		if e.Flow != 2 || e.Kind != telemetry.KindAgg {
+			kept = append(kept, e)
+		}
+	}
+	tr.Events = kept
+	var absent struct {
+		Cluster json.RawMessage              `json:"cluster"`
+		Jobs    []map[string]json.RawMessage `json:"jobs"`
+	}
+	if err := json.Unmarshal(summarize(t, tr), &absent); err != nil {
+		t.Fatal(err)
+	}
+	if absent.Cluster != nil {
+		t.Errorf("dumbbell summary has a cluster key: %s", absent.Cluster)
+	}
+	if len(absent.Jobs) != 2 {
+		t.Fatalf("%d jobs, want 2", len(absent.Jobs))
+	}
+	for _, key := range []string{"retx", "rto", "recoveries", "cwnd_samples", "final_cwnd", "final_factor"} {
+		if _, ok := absent.Jobs[0][key]; !ok {
+			t.Errorf("flow 1 lacks %q", key)
+		}
+		if _, ok := absent.Jobs[1][key]; ok {
+			t.Errorf("flow 2 has %q without congestion events", key)
+		}
+	}
 }
 
 // TestJSONClusterRoundTrip pins the -json rendering of topology runs: the
 // cluster block round-trips the backend's ClusterResult exactly (floats
-// use the shortest exact representation, so decoding is lossless), and
-// dumbbell summaries omit the block entirely.
+// use the shortest exact representation, so decoding is lossless).
 func TestJSONClusterRoundTrip(t *testing.T) {
 	scn := &config.Scenario{
 		Name:        "cli-cluster",
@@ -145,7 +184,7 @@ func TestJSONClusterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	summary := summarize(t, path)
+	summary := summarize(t, readTrace(t, path))
 	var doc struct {
 		Cluster *struct {
 			Topology        string  `json:"topology"`
@@ -169,12 +208,6 @@ func TestJSONClusterRoundTrip(t *testing.T) {
 		c.SharingPairs != want.SharingPairs || c.DisjointPairs != want.DisjointPairs ||
 		c.SharedOverlap != want.SharedOverlap || c.DisjointOverlap != want.DisjointOverlap {
 		t.Fatalf("cluster block %+v does not round-trip %+v", c, want)
-	}
-
-	// Dumbbell runs must not grow the block.
-	dumbbell, _ := writeTestTrace(t)
-	if bytes.Contains(summarize(t, dumbbell), []byte(`"cluster"`)) {
-		t.Fatal("dumbbell summary contains a cluster block")
 	}
 }
 

@@ -15,8 +15,6 @@ import (
 // time, exact phase boundaries, the weighted-share abstraction §4's
 // analysis is stated in. The zero value is ready to use.
 type Fluid struct {
-	// Step overrides the fluid integration step (0 = fluid default 1ms).
-	Step sim.Time
 	// TraceBucket, when positive, records per-job bandwidth into
 	// JobResult.Bandwidth buckets of this width.
 	TraceBucket sim.Time
@@ -84,7 +82,6 @@ func (b *Fluid) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*Re
 	fcfg := fluid.Config{
 		Capacity:    s.Capacity(),
 		Policy:      s.FluidPolicy(),
-		Step:        b.Step,
 		TraceBucket: traceBucket,
 		Telemetry:   rec,
 	}

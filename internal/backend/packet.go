@@ -22,13 +22,7 @@ import (
 // bottleneck runs at Capacity×scale and byte volumes shrink likewise, so
 // every iteration time matches the fluid rendering while packet counts
 // stay tractable. The zero value is ready to use.
-type Packet struct {
-	// Scale overrides the scenario's packet_scale when positive.
-	Scale float64
-	// CwndInterval is the congestion-window sampling interval for
-	// JobResult.CwndTrace (default 250ms; negative disables sampling).
-	CwndInterval sim.Time
-}
+type Packet struct{}
 
 // Name implements Backend.
 func (*Packet) Name() string { return NamePacket }
@@ -40,13 +34,16 @@ const (
 	hostDelay       = 10 * sim.Microsecond
 	bottleneckDelay = 30 * sim.Microsecond
 	ecnThreshold    = 20 // marking threshold in MTU-sized packets
+	// cwndSampleEvery is the congestion-window sampling interval for
+	// JobResult.CwndTrace.
+	cwndSampleEvery = 250 * sim.Millisecond
 )
 
 // minTrackerGap floors Algorithm 1's COMP_TIME ack-gap threshold so jobs
 // with tiny compute phases still get a positive boundary detector.
 const minTrackerGap = 50 * sim.Millisecond
 
-// pktJob is one job's compute/communicate driver plus its optional
+// pktJob is one job's compute/communicate driver plus its
 // congestion-window trace.
 type pktJob struct {
 	tcp.Job
@@ -74,9 +71,6 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 	}
 
 	scale := s.Scale()
-	if b.Scale > 0 {
-		scale = b.Scale
-	}
 	specs := s.Specs()
 	var offsets []sim.Time
 	if s.Centralized() {
@@ -101,11 +95,6 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 		}
 	}
 	net := netsim.NewDumbbell(eng, cfg)
-
-	cwndEvery := b.CwndInterval
-	if cwndEvery == 0 {
-		cwndEvery = 250 * sim.Millisecond
-	}
 
 	horizon := s.Duration()
 	rec := telemetry.FromContext(ctx)
@@ -142,9 +131,7 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 			Rec:      rec,
 			Flow:     i + 1,
 		}}
-		if cwndEvery > 0 {
-			jobs[i].trace = tcp.SampleCwnd(f.Sender, cwndEvery)
-		}
+		jobs[i].trace = tcp.SampleCwnd(f.Sender, cwndSampleEvery)
 		off := spec.StartOffset
 		if offsets != nil {
 			off = offsets[i]
@@ -208,11 +195,9 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 		for k := range j.Ends {
 			jr.FCTs = append(jr.FCTs, j.Ends[k]-j.Starts[k])
 		}
-		if j.trace != nil {
-			jr.CwndTrace = j.trace.Values()
-			if n := len(jr.CwndTrace); n > 0 {
-				jr.FinalCwnd = jr.CwndTrace[n-1]
-			}
+		jr.CwndTrace = j.trace.Values()
+		if n := len(jr.CwndTrace); n > 0 {
+			jr.FinalCwnd = jr.CwndTrace[n-1]
 		}
 		res.Jobs = append(res.Jobs, jr)
 	}

@@ -28,7 +28,6 @@
 package diagnose
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -128,27 +127,13 @@ func encodeLine(e telemetry.Event) string {
 	return line
 }
 
-// appendJSONString appends a JSON-quoted string. encoding/json's string
-// escaping is deterministic, so hand-rolled documents embedding it stay
-// byte-stable.
-func appendJSONString(b []byte, s string) []byte {
-	q, err := json.Marshal(s)
-	if err != nil { // a string never fails to marshal
-		return strconv.AppendQuote(b, s)
+// orEmpty returns xs, or an empty slice when xs is nil, so JSON
+// documents spell empty lists [] rather than null.
+func orEmpty[T any](xs []T) []T {
+	if xs == nil {
+		return []T{}
 	}
-	return append(b, q...)
-}
-
-// appendJSONStrings appends a JSON array of strings.
-func appendJSONStrings(b []byte, ss []string) []byte {
-	b = append(b, '[')
-	for i, s := range ss {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, s)
-	}
-	return append(b, ']')
+	return xs
 }
 
 // fmtFloat renders a float in its shortest exact form, matching the

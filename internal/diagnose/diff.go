@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -404,55 +405,49 @@ func (d *Diff) divergenceIter() int {
 	return d.B.Iter
 }
 
-// AppendJSON appends the report as one stable JSON document. The event
-// lines embed their canonical trace encodings verbatim.
-func (d *Diff) AppendJSON(b []byte) []byte {
-	b = append(b, `{"kind":"trace-diff","schema":`...)
-	b = strconv.AppendInt(b, DiffSchema, 10)
-	b = append(b, `,"class":`...)
-	b = appendJSONString(b, string(d.Class))
-	b = append(b, `,"reason":`...)
-	b = appendJSONString(b, d.Reason)
-	b = append(b, `,"events_a":`...)
-	b = strconv.AppendInt(b, int64(d.EventsA), 10)
-	b = append(b, `,"events_b":`...)
-	b = strconv.AppendInt(b, int64(d.EventsB), 10)
-	b = append(b, `,"manifest_diffs":`...)
-	b = appendJSONStrings(b, d.ManifestDiffs)
-	b = append(b, `,"metrics_diffs":`...)
-	b = appendJSONStrings(b, d.MetricsDiffs)
-	if d.StreamIndex >= 0 {
-		b = append(b, `,"divergence":{"stream":`...)
-		b = appendJSONString(b, d.Stream)
-		b = append(b, `,"element":`...)
-		b = strconv.AppendInt(b, int64(d.StreamIndex), 10)
-		b = append(b, `,"iteration":`...)
-		b = strconv.AppendInt(b, int64(d.divergenceIter()), 10)
-		appendSide := func(b []byte, s Side) []byte {
-			if s.Event == nil {
-				return append(b, "null"...)
-			}
-			b = append(b, `{"index":`...)
-			b = strconv.AppendInt(b, int64(s.Index), 10)
-			b = append(b, `,"iter":`...)
-			b = strconv.AppendInt(b, int64(s.Iter), 10)
-			b = append(b, `,"event":`...)
-			b = append(b, s.Line...) // canonical JSON line
-			return append(b, '}')
-		}
-		b = append(b, `,"a":`...)
-		b = appendSide(b, d.A)
-		b = append(b, `,"b":`...)
-		b = appendSide(b, d.B)
-		b = append(b, `,"fields":`...)
-		b = appendJSONStrings(b, d.FieldDiffs)
-		b = append(b, `,"context_a":`...)
-		b = appendJSONStrings(b, d.A.Context)
-		b = append(b, `,"context_b":`...)
-		b = appendJSONStrings(b, d.B.Context)
-		b = append(b, '}')
+// MarshalJSON encodes the diff under its kind/schema header, with empty
+// lists as []. Each side's event is embedded as its canonical trace line
+// (null when that side's stream ended first).
+func (d Diff) MarshalJSON() ([]byte, error) {
+	type side struct {
+		Index int             `json:"index"`
+		Iter  int             `json:"iter"`
+		Event json.RawMessage `json:"event"`
 	}
-	return append(b, '}')
+	type divergence struct {
+		Stream    string   `json:"stream"`
+		Element   int      `json:"element"`
+		Iteration int      `json:"iteration"`
+		A         *side    `json:"a"`
+		B         *side    `json:"b"`
+		Fields    []string `json:"fields"`
+		ContextA  []string `json:"context_a"`
+		ContextB  []string `json:"context_b"`
+	}
+	doc := struct {
+		Kind          string      `json:"kind"`
+		Schema        int         `json:"schema"`
+		Class         Class       `json:"class"`
+		Reason        string      `json:"reason"`
+		EventsA       int         `json:"events_a"`
+		EventsB       int         `json:"events_b"`
+		ManifestDiffs []string    `json:"manifest_diffs"`
+		MetricsDiffs  []string    `json:"metrics_diffs"`
+		Divergence    *divergence `json:"divergence,omitempty"`
+	}{"trace-diff", DiffSchema, d.Class, d.Reason, d.EventsA, d.EventsB,
+		orEmpty(d.ManifestDiffs), orEmpty(d.MetricsDiffs), nil}
+	if d.StreamIndex >= 0 {
+		sideDoc := func(s Side) *side {
+			if s.Event == nil {
+				return nil
+			}
+			return &side{s.Index, s.Iter, json.RawMessage(s.Line)}
+		}
+		doc.Divergence = &divergence{d.Stream, d.StreamIndex, d.divergenceIter(),
+			sideDoc(d.A), sideDoc(d.B),
+			orEmpty(d.FieldDiffs), orEmpty(d.A.Context), orEmpty(d.B.Context)}
+	}
+	return json.Marshal(doc)
 }
 
 // manifestDiffs compares two manifests field by field. revisionOnly

@@ -2,6 +2,7 @@ package diagnose
 
 import (
 	"bytes"
+	"encoding/json"
 	"sort"
 	"strings"
 	"testing"
@@ -53,6 +54,14 @@ func TestCompareIdenticalSameSeed(t *testing.T) {
 	if d.Divergent() {
 		t.Fatal("identical diff reported divergent")
 	}
+	js, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(js, []byte(`"manifest_diffs":[],"metrics_diffs":[]`)) ||
+		bytes.Contains(js, []byte(`"divergence"`)) {
+		t.Errorf("identical diff JSON = %s", js)
+	}
 }
 
 func backendName(t *testing.T) string {
@@ -71,7 +80,11 @@ func TestCompareByteDeterministic(t *testing.T) {
 		if err := d.WriteText(&txt, "a.jsonl", "b.jsonl"); err != nil {
 			t.Fatal(err)
 		}
-		return txt.String(), string(d.AppendJSON(nil))
+		js, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return txt.String(), string(js)
 	}
 	txt1, js1 := render()
 	txt2, js2 := render()
@@ -206,6 +219,21 @@ func TestCompareTruncatedStream(t *testing.T) {
 	}
 	if d.A.Event == nil {
 		t.Error("surviving side's extra event not reported")
+	}
+	js, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Divergence struct {
+			A, B json.RawMessage
+		}
+	}
+	if err := json.Unmarshal(js, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if string(doc.Divergence.B) != "null" || !bytes.HasPrefix(doc.Divergence.A, []byte(`{"index":`)) {
+		t.Errorf("divergence sides a=%s b=%s, want the ended side null", doc.Divergence.A, doc.Divergence.B)
 	}
 }
 

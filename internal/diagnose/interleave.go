@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -22,49 +23,61 @@ const bandThreshold = 0.5
 
 // IterPoint is one iteration of the interleave timeline.
 type IterPoint struct {
-	Iter int
+	Iter int `json:"iter"`
 	// Overlap is the backend's overlap score over the iteration's
 	// communication window (0 = fully interleaved).
-	Overlap float64
+	Overlap float64 `json:"overlap"`
 	// Bands groups the flows whose communication phases collide this
 	// iteration (>bandThreshold pairwise); singletons are omitted.
-	Bands [][]int
+	Bands [][]int `json:"bands"`
 }
 
 // FlowBand is a set of flows that stayed phase-locked over the final
 // quarter of the horizon, and the link they contend on.
 type FlowBand struct {
-	Flows []int
+	Flows []int `json:"flows"`
 	// Overlap is the minimum normalized pairwise collision fraction
 	// within the band (1 = the pair always collides).
-	Overlap float64
+	Overlap float64 `json:"overlap"`
 	// Link is the first path link all band members share (DefaultLink
 	// for non-topology runs, "" if they share none).
-	Link string
+	Link string `json:"link"`
 }
 
 // Report is the interleave explainer's verdict for one trace. Its
 // convergence fields are recomputed through backend.ResultFromTrace, so
 // they agree exactly with the producing run's backend.Result.
 type Report struct {
-	Scenario string
-	Backend  string
-	Policy   string
+	Scenario string `json:"scenario"`
+	Backend  string `json:"backend"`
+	Policy   string `json:"policy"`
 	// InterleavedAt and OverlapScore mirror backend.Result (InterleavedAt
 	// -1 = never converged within the horizon).
-	InterleavedAt int
-	OverlapScore  float64
+	InterleavedAt int     `json:"interleaved_at"`
+	OverlapScore  float64 `json:"overlap_score"`
 	// FinalQuarterOverlap is the overlap score over [3D/4, D) — the
 	// steady state the locked-band detection looks at.
-	FinalQuarterOverlap float64
-	Converged           bool
+	FinalQuarterOverlap float64 `json:"final_quarter_overlap"`
+	Converged           bool    `json:"converged"`
 	// Predicted marks a learned-backend trace: no per-iteration events,
 	// so the timeline is empty and the verdict is manifest-only.
-	Predicted   bool
-	Timeline    []IterPoint
-	LockedBands []FlowBand
+	Predicted   bool        `json:"predicted"`
+	Timeline    []IterPoint `json:"timeline"`
+	LockedBands []FlowBand  `json:"locked_bands"`
 	// Verdict is the one-line human conclusion.
-	Verdict string
+	Verdict string `json:"verdict"`
+}
+
+// MarshalJSON encodes the report under its kind/schema header, with
+// empty lists as [].
+func (r Report) MarshalJSON() ([]byte, error) {
+	type report Report // the fields without this method
+	r.Timeline, r.LockedBands = orEmpty(r.Timeline), orEmpty(r.LockedBands)
+	return json.Marshal(struct {
+		Kind   string `json:"kind"`
+		Schema int    `json:"schema"`
+		report
+	}{"interleave-report", ReportSchema, report(r)})
 }
 
 // Explain reconstructs a trace's interleaving story: the per-iteration
@@ -354,73 +367,6 @@ func sampleTimeline(tl []IterPoint, n int) []IterPoint {
 	return out
 }
 
-// AppendJSON appends the report as one stable JSON document.
-func (r *Report) AppendJSON(b []byte) []byte {
-	b = append(b, `{"kind":"interleave-report","schema":`...)
-	b = strconv.AppendInt(b, ReportSchema, 10)
-	b = append(b, `,"scenario":`...)
-	b = appendJSONString(b, r.Scenario)
-	b = append(b, `,"backend":`...)
-	b = appendJSONString(b, r.Backend)
-	b = append(b, `,"policy":`...)
-	b = appendJSONString(b, r.Policy)
-	b = append(b, `,"interleaved_at":`...)
-	b = strconv.AppendInt(b, int64(r.InterleavedAt), 10)
-	b = append(b, `,"overlap_score":`...)
-	b = append(b, fmtFloat(r.OverlapScore)...)
-	b = append(b, `,"final_quarter_overlap":`...)
-	b = append(b, fmtFloat(r.FinalQuarterOverlap)...)
-	b = append(b, `,"converged":`...)
-	b = strconv.AppendBool(b, r.Converged)
-	b = append(b, `,"predicted":`...)
-	b = strconv.AppendBool(b, r.Predicted)
-	b = append(b, `,"timeline":[`...)
-	for i, p := range r.Timeline {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"iter":`...)
-		b = strconv.AppendInt(b, int64(p.Iter), 10)
-		b = append(b, `,"overlap":`...)
-		b = append(b, fmtFloat(p.Overlap)...)
-		b = append(b, `,"bands":[`...)
-		for j, band := range p.Bands {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONInts(b, band)
-		}
-		b = append(b, "]}"...)
-	}
-	b = append(b, `],"locked_bands":[`...)
-	for i, band := range r.LockedBands {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"flows":`...)
-		b = appendJSONInts(b, band.Flows)
-		b = append(b, `,"overlap":`...)
-		b = append(b, fmtFloat(band.Overlap)...)
-		b = append(b, `,"link":`...)
-		b = appendJSONString(b, band.Link)
-		b = append(b, '}')
-	}
-	b = append(b, `],"verdict":`...)
-	b = appendJSONString(b, r.Verdict)
-	return append(b, '}')
-}
-
-func appendJSONInts(b []byte, xs []int) []byte {
-	b = append(b, '[')
-	for i, x := range xs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(x), 10)
-	}
-	return append(b, ']')
-}
-
 // unionFind is a tiny deterministic disjoint-set over [0, n).
 type unionFind struct{ parent []int }
 
@@ -473,12 +419,10 @@ func (u *unionFind) groupIndices() [][]int {
 	return out
 }
 
-// groups maps groupIndices through a flow-ID table.
+// groups maps groupIndices through a flow-ID table (empty, not nil,
+// when every flow is a singleton).
 func (u *unionFind) groups(flows []int) [][]int {
 	idx := u.groupIndices()
-	if len(idx) == 0 {
-		return nil
-	}
 	out := make([][]int, len(idx))
 	for i, members := range idx {
 		ids := make([]int, len(members))

@@ -2,6 +2,7 @@ package diagnose
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -94,10 +95,20 @@ func TestExplainPredicted(t *testing.T) {
 	if len(rep.Timeline) != 0 {
 		t.Errorf("predicted report has a timeline (%d points)", len(rep.Timeline))
 	}
+	js, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"timeline":[]`, `"locked_bands":[]`} {
+		if !bytes.Contains(js, []byte(key)) {
+			t.Errorf("predicted report lacks %s: %s", key, js)
+		}
+	}
 }
 
 // TestExplainByteDeterministic: text and JSON renderings are identical
-// across repeated analyses of the same trace.
+// across repeated analyses of the same trace, and empty lists encode as
+// [] (the report has no nullable field).
 func TestExplainByteDeterministic(t *testing.T) {
 	tr, _ := runTraced(t, twoJobScenario(), "fluid", 1)
 	render := func() (string, string) {
@@ -109,7 +120,11 @@ func TestExplainByteDeterministic(t *testing.T) {
 		if err := rep.WriteText(&txt, 0); err != nil {
 			t.Fatal(err)
 		}
-		return txt.String(), string(rep.AppendJSON(nil))
+		js, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return txt.String(), string(js)
 	}
 	txt1, js1 := render()
 	txt2, js2 := render()
@@ -121,6 +136,10 @@ func TestExplainByteDeterministic(t *testing.T) {
 	}
 	if !strings.HasPrefix(js1, `{"kind":"interleave-report","schema":1,`) {
 		t.Errorf("JSON header = %.60s", js1)
+	}
+	// The run interleaves, so some iteration has no colliding flows.
+	if !strings.Contains(js1, `"bands":[]`) || strings.Contains(js1, "null") {
+		t.Errorf("want an iteration with \"bands\":[] and no null: %s", js1)
 	}
 }
 

@@ -185,20 +185,3 @@ func (g *Registry) Snapshot() *Snapshot {
 	}
 	return s
 }
-
-// Names returns every registered metric name, sorted, for deterministic
-// iteration in reports.
-func (g *Registry) Names() []string {
-	var names []string
-	for n := range g.counters {
-		names = append(names, n)
-	}
-	for n := range g.gauges {
-		names = append(names, n)
-	}
-	for n := range g.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
