@@ -55,12 +55,6 @@ func NewReno(totalBytes int64, compTime sim.Time) *MLTCP {
 	return Wrap(tcp.NewReno(), Default(), NewTracker(totalBytes, compTime))
 }
 
-// NewRenoAutoLearn returns MLTCP-Reno that learns TOTAL_BYTES and COMP_TIME
-// from its first iterations, as the paper's kernel module does.
-func NewRenoAutoLearn() *MLTCP {
-	return Wrap(tcp.NewReno(), Default(), NewLearner(0, 0))
-}
-
 // Name implements tcp.CongestionControl.
 func (m *MLTCP) Name() string { return "mltcp-" + m.base.Name() }
 

@@ -144,3 +144,40 @@ func TestMLTCPUnequalSharingByProgress(t *testing.T) {
 		t.Errorf("high-ratio flow not favored: A progress %.2f vs B %.2f", perA, perB)
 	}
 }
+
+// §5's traffic-class recommendation: a latency-sensitive flow running
+// MLTCP with a constant high aggressiveness (F = 4 whatever its progress)
+// acquires clearly more bandwidth than a plain Reno bulk flow, without
+// starving it. Random loss on the bottleneck de-synchronizes the two
+// flows' loss epochs; two deterministic drop-tail flows otherwise
+// phase-lock into arbitrary winners regardless of their increase factors.
+func TestLatencyClassAcquiresBandwidth(t *testing.T) {
+	t.Parallel()
+	eng := sim.New()
+	net := netsim.NewDumbbell(eng, netsim.DumbbellConfig{
+		HostPairs:       2,
+		HostRate:        5 * units.Gbps,
+		BottleneckRate:  500 * units.Mbps,
+		HostDelay:       10 * sim.Microsecond,
+		BottleneckDelay: 30 * sim.Microsecond,
+		BottleneckQueue: func() netsim.Queue {
+			return netsim.NewDropTail(512 * netsim.DefaultMTU)
+		},
+	})
+	net.Forward.LossProb = 0.001
+	net.Forward.RNG = sim.NewRNG(5)
+	latCC := Wrap(tcp.NewReno(), Linear(0, 4), NewTracker(1<<40, 400*sim.Millisecond))
+	lat := tcp.NewFlow(eng, 1, net.Left[0], net.Right[0], latCC, tcp.Config{})
+	bulk := tcp.NewFlow(eng, 2, net.Left[1], net.Right[1], tcp.NewReno(), tcp.Config{})
+	lat.Sender.Write(1 << 40)
+	bulk.Sender.Write(1 << 40)
+	eng.RunUntil(30 * sim.Second)
+	l := float64(lat.Sender.TotalBytesAcked())
+	b := float64(bulk.Sender.TotalBytesAcked())
+	if l < b*1.3 {
+		t.Errorf("latency class got %.0f vs bulk %.0f; want clearly more", l, b)
+	}
+	if b < (l+b)*0.05 {
+		t.Errorf("bulk starved: %.1f%% of total", b/(l+b)*100)
+	}
+}

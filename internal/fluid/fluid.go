@@ -511,10 +511,6 @@ func (s *Sim) traceOf(j *Job) []float64 {
 	return s.trace[j.flow-1]
 }
 
-// TraceBytes returns the job's recorded per-bucket delivered bytes (empty
-// without TraceBucket).
-func (s *Sim) TraceBytes(j *Job) []float64 { return s.traceOf(j) }
-
 // EmitTrace replays every job's bandwidth buckets as KindBandwidth events
 // (one per non-empty bucket, timestamped at the bucket's end). Call after
 // Run; telemetry.Write's merge by time interleaves them deterministically.

@@ -111,6 +111,9 @@ func ReadCorpus(r io.Reader) (CorpusHeader, []CorpusRun, error) {
 		if err := json.Unmarshal(sc.Bytes(), &cr); err != nil {
 			return CorpusHeader{}, nil, fmt.Errorf("learn: corpus run %d: %w", len(runs), err)
 		}
+		if len(cr.OverlapQ) == 0 {
+			cr.OverlapQ = nil // WriteCorpus omits an empty overlap_q
+		}
 		runs = append(runs, cr)
 	}
 	if err := sc.Err(); err != nil {

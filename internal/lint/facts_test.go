@@ -47,7 +47,7 @@ func TestSummarizeDeterministic(t *testing.T) {
 			t.Fatalf("parsing fixture: %v", err)
 		}
 		files := []*ast.File{f}
-		pkg, info, soft, err := lint.Check(fset, lint.ExportImporter(fset, exp), "mltcp/internal/lint/helper", files)
+		_, info, soft, err := lint.Check(fset, lint.ExportImporter(fset, exp), "mltcp/internal/lint/helper", files)
 		if err != nil {
 			t.Fatalf("type-checking fixture: %v", err)
 		}
@@ -55,7 +55,7 @@ func TestSummarizeDeterministic(t *testing.T) {
 			t.Fatalf("fixture type errors: %v", soft)
 		}
 		store := lint.NewFactStore()
-		lint.Summarize(fset, files, pkg, info, store)
+		lint.Summarize(fset, files, info, store)
 		return store
 	}
 	a := summarize()

@@ -119,7 +119,7 @@ func RunPkgs(t *testing.T, a *lint.Analyzer, pkgs ...PkgFixture) {
 		}
 		imp.mem[p.Path] = pkg
 
-		lint.Summarize(fset, files, pkg, info, store)
+		lint.Summarize(fset, files, info, store)
 		ds, err := lint.AnalyzeFacts(fset, files, pkg, info, []*lint.Analyzer{a}, store)
 		if err != nil {
 			t.Fatalf("analysis: %v", err)

@@ -194,7 +194,7 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	var all []Diagnostic
 	for _, p := range pkgs {
 		if modulePath(p.Path) {
-			Summarize(fset, p.Files, p.Types, p.Info, store)
+			Summarize(fset, p.Files, p.Info, store)
 		}
 		if p.DepOnly {
 			continue

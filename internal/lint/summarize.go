@@ -23,36 +23,6 @@ import (
 	"strings"
 )
 
-// A CallGraph records the statically resolved module-function callees
-// of each function declared in one summarized package. Analyzers mostly
-// consume facts instead, but the graph is exposed for tests and
-// tooling.
-type CallGraph struct {
-	edges map[string][]string
-}
-
-// Callees returns the sorted module-function keys called (directly) by
-// the function with the given key.
-func (g *CallGraph) Callees(key string) []string {
-	if g == nil {
-		return nil
-	}
-	return g.edges[key]
-}
-
-// Funcs returns the sorted keys of all functions in the graph.
-func (g *CallGraph) Funcs() []string {
-	if g == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(g.edges))
-	for k := range g.edges {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // factSite is one local fact witness: a position plus its description.
 type factSite struct {
 	pos token.Pos
@@ -97,12 +67,9 @@ type suppressFn func(pos token.Pos, analyzer string) bool
 
 // Summarize computes and stores facts for every function declared in
 // the package (test files excluded — the invariants govern shipped
-// simulation code) and returns the package's call graph. It must run
-// after the package's dependencies have been summarized or their fact
-// files merged into store.
-func Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package,
-	info *types.Info, store *FactStore) *CallGraph {
-
+// simulation code). It must run after the package's dependencies have
+// been summarized or their fact files merged into store.
+func Summarize(fset *token.FileSet, files []*ast.File, info *types.Info, store *FactStore) {
 	allowed, _ := suppressions(fset, files)
 	supp := func(pos token.Pos, analyzer string) bool {
 		p := fset.Position(pos)
@@ -155,23 +122,9 @@ func Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 		}
 	}
 
-	graph := &CallGraph{edges: make(map[string][]string)}
 	for _, ds := range decls {
-		set := make(map[string]bool)
-		for _, c := range ds.calls {
-			if c.fn != nil && moduleFunc(c.fn) {
-				set[FuncKey(c.fn)] = true
-			}
-		}
-		callees := make([]string, 0, len(set))
-		for k := range set {
-			callees = append(callees, k)
-		}
-		sort.Strings(callees)
-		graph.edges[ds.key] = callees
 		store.Set(ds.key, ds.fact)
 	}
-	return graph
 }
 
 // collectLocal gathers the round-invariant raw material for one

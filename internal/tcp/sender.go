@@ -206,10 +206,6 @@ func (s *Sender) InSlowStart() bool { return s.cwnd < s.ssthresh }
 // pFabric's "remaining flow size".
 func (s *Sender) Remaining() int64 { return s.appLimit - s.sndUna }
 
-// BatchBytesAcked returns the bytes acknowledged from the current Write
-// batch.
-func (s *Sender) BatchBytesAcked() int64 { return s.sndUna - s.iterStart }
-
 // BatchBytesSent returns the bytes transmitted (not necessarily
 // acknowledged) from the current Write batch, the quantity PIAS-style
 // byte-count taggers demote on.
