@@ -62,19 +62,18 @@ type incidence struct {
 	// The components: no flow crosses two. Link l belongs to component
 	// compOf[l] (-1 while no active flow crosses it). Component c's
 	// links, ascending, are the list compHead[c], linkNext[...], ..., and
-	// it holds compFlows[c] flows. uniform[c] marks a single-flow
-	// component whose flow crosses each of its links once and whose
-	// links' capacities have the same bits: every link's fill is then the
-	// same, and the bottleneck is its lowest link. On a fat-tree of one
-	// link rate every single-flow component is uniform, and skipping its
-	// scan is most of what the closed form saves. Components are
+	// it holds compFlows[c] flows. star[c] is its star link, or -1 (see
+	// starLink): a link every flow crosses, the bottleneck of every flow
+	// in round one, so the allocator fills the component in closed form.
+	// On a one-rate fat-tree every single-flow component has a star, and
+	// most multi-flow ones do. Components are
 	// numbered densely; their order does not affect any rate, since each
 	// is filled on its own.
 	compOf    []int32
 	linkNext  []int32
 	compHead  []int32
 	compFlows []int32
-	uniform   []bool
+	star      []int32
 	// rest is leave's scratch: the flows left in a dissolved component.
 	rest []int32
 }
@@ -102,7 +101,7 @@ func (sc *AllocScratch) reserve(caps []units.Rate, flows, hops int) {
 	ix.xs = grow(ix.xs, hops)
 	ix.compHead = grow(ix.compHead, flows)
 	ix.compFlows = grow(ix.compFlows, flows)
-	ix.uniform = grow(ix.uniform, flows)
+	ix.star = grow(ix.star, flows)
 	ix.rest = grow(ix.rest, flows)
 	sc.reset(caps)
 }
@@ -134,7 +133,7 @@ func (sc *AllocScratch) reset(caps []units.Rate) {
 	ix.free = -1
 	ix.compHead = ix.compHead[:0]
 	ix.compFlows = ix.compFlows[:0]
-	ix.uniform = ix.uniform[:0]
+	ix.star = ix.star[:0]
 	ix.built = true
 }
 
@@ -286,7 +285,7 @@ func (ix *incidence) attach(f int32) {
 		c = int32(len(ix.compHead))
 		ix.compHead = append(ix.compHead, -1)
 		ix.compFlows = append(ix.compFlows, 0)
-		ix.uniform = append(ix.uniform, false)
+		ix.star = append(ix.star, -1)
 	}
 	for _, l := range path {
 		if ix.compOf[l] < 0 { // not in c already, nor a repeat crossing
@@ -295,7 +294,7 @@ func (ix *incidence) attach(f int32) {
 		}
 	}
 	ix.compFlows[c]++
-	ix.uniform[c] = ix.compFlows[c] == 1 && ix.uniformLinks(c)
+	ix.star[c] = ix.starLink(c)
 }
 
 // shift adds by to every crossing's flow from flow from on.
@@ -325,14 +324,14 @@ func (ix *incidence) merge(c, d int32) int32 {
 func (ix *incidence) dropComp(c int32) {
 	last := int32(len(ix.compHead) - 1)
 	if c != last {
-		ix.compHead[c], ix.compFlows[c], ix.uniform[c] = ix.compHead[last], ix.compFlows[last], ix.uniform[last]
+		ix.compHead[c], ix.compFlows[c], ix.star[c] = ix.compHead[last], ix.compFlows[last], ix.star[last]
 		for l := ix.compHead[c]; l >= 0; l = ix.linkNext[l] {
 			ix.compOf[l] = c
 		}
 	}
 	ix.compHead = ix.compHead[:last]
 	ix.compFlows = ix.compFlows[:last]
-	ix.uniform = ix.uniform[:last]
+	ix.star = ix.star[:last]
 }
 
 // mergeLinks merges the ascending link lists a and b, which share no
@@ -361,16 +360,43 @@ func (ix *incidence) mergeLinks(a, b, c int32) int32 {
 	return head
 }
 
-// uniformLinks reports whether each of component c's links is crossed
-// once and all their capacities have the same bits, so that a single
-// flow's fill is the same bits on every one.
-func (ix *incidence) uniformLinks(c int32) bool {
-	h := ix.compHead[c]
-	c0 := math.Float64bits(float64(ix.caps[h]))
-	for l := h; l >= 0; l = ix.linkNext[l] {
-		if ix.xs[ix.rowHead[l]].next >= 0 || math.Float64bits(float64(ix.caps[l])) != c0 {
-			return false
+// maxStarFlows bounds a star component's flows (see AllocateNetworkInto).
+const maxStarFlows = 1 << 10
+
+// starLink returns component c's star, or -1 if it has none: the lowest
+// link that each of its at most maxStarFlows flows crosses once, at the
+// least capacity m, when no flow crosses a link twice, m is positive and
+// finite, and every other capacity is m or at least m·(1+2⁻⁴⁰).
+func (ix *incidence) starLink(c int32) int32 {
+	nf, h := ix.compFlows[c], ix.compHead[c]
+	m, star := ix.caps[h], int32(-1)
+	for l := h; l >= 0 && nf <= maxStarFlows; l = ix.linkNext[l] {
+		n := int32(0)
+		for x := ix.rowHead[l]; x >= 0; x = ix.xs[x].next {
+			if y := ix.xs[x].next; y >= 0 && ix.xs[y].flow == ix.xs[x].flow {
+				return -1 // rows are in flow order: a repeat is adjacent
+			}
+			n++
+		}
+		if ix.caps[l] < m {
+			m, star = ix.caps[l], -1
+		}
+		if star < 0 && n == nf && sameBits(ix.caps[l], m) {
+			star = l
 		}
 	}
-	return true
+	if star < 0 || !(m <= math.MaxFloat64 && m > 0) {
+		return -1
+	}
+	for l := h; l >= 0; l = ix.linkNext[l] {
+		if k := ix.caps[l]; !sameBits(k, m) && !(k >= m*(1+0x1p-40)) {
+			return -1 // inside the margin, or NaN
+		}
+	}
+	return star
+}
+
+// sameBits reports whether two rates are the same float64.
+func sameBits(a, b units.Rate) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
 }

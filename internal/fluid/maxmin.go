@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"fmt"
+	"math"
 
 	"mltcp/internal/units"
 )
@@ -82,15 +83,23 @@ func (p MaxMin) AllocateNetwork(nw *Network, active []*Job) []units.Rate {
 //     meets its bottlenecks in the same order, with the same tie-breaks,
 //     as one global scan would. Each component initialises its own
 //     links' round-one state.
-//   - A single-flow component touches no per-link state. Its flow
-//     freezes at its min-fill link, the lowest link on ties, at the
-//     rate the fill loop computes there: headroom capacity-0 (no load
-//     yet) times w, over a weight sum of w per crossing. When the flow
-//     crosses each link once and the capacities have the same bits,
-//     every fill is equal and that link is the component's first, known
-//     when the flow joined; otherwise one pass over the links re-sums
-//     each weight and keeps the strict minimum fill. A flow whose weight
-//     is not positive (or NaN) has no candidate link and keeps rate 0.
+//   - A component with a star s (incidence.starLink) touches no
+//     per-link state. Every flow crosses s once, so s's round-one fill
+//     is m/S: its capacity over its row's weight sum, added in flow
+//     order as round one adds it. Round one freezes every flow at s, at
+//     nonNeg(m-0)·w/S, unless another link's fill rounds to m/S or
+//     below, which cannot happen when w_min > S·2⁻⁴⁰ > 0 and m/S rounds
+//     to a normal float. With u = 2⁻⁵³, n ≤ 2¹⁰ positive weights sum to
+//     within a factor 1±γ of the exact W, γ = (n-1)u/(1-(n-1)u) < 2⁻⁴³.
+//     A link k is (a) on every flow at capacity m: same sum and fill,
+//     and k > s; (b) on every flow at capacity ≥ m·(1+2⁻⁴⁰); or (c) on
+//     a proper subset of the flows, of exact weight ≤ W-w_min <
+//     W(1-(1-γ)2⁻⁴⁰), so its rounded sum is below S(1-2⁻⁴¹). In (b) and
+//     (c) k's exact fill is above m/S·(1+2⁻⁴¹), and rounding a normal
+//     quotient moves it by a factor within 1±u: no tie, which would go
+//     to a lower link, is possible. A fill that overflows or is
+//     subnormal can tie, and a weight that is not positive, NaN or tiny
+//     beside S breaks (c): those take the fill loop.
 //   - The flows on a bottleneck come from its row, in active order —
 //     the order a scan over every active path finds them in.
 //   - After a round only the links a frozen flow crosses have their
@@ -131,33 +140,22 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 
 	for c, nf := range ix.compFlows {
 		first := ix.compHead[c]
-		if nf == 1 {
-			// A single flow: it freezes at its min-fill link, and what
-			// the fill loop would compute there — load 0, a weight sum
-			// of w per crossing — has a closed form.
-			f := xs[rowHead[first]].flow
-			w := weights[f]
-			if !(w > 0) {
-				continue // no link is a candidate: rate 0, no bottleneck
+		if s := ix.star[c]; s >= 0 {
+			m, ws, wmin := float64(caps[s]), 0.0, math.Inf(1)
+			for x := rowHead[s]; x >= 0; x = xs[x].next {
+				w := weights[xs[x].flow]
+				ws += w
+				wmin = min(wmin, w) // NaN if any weight is
 			}
-			b, ws := first, w
-			if !ix.uniform[c] {
-				var bFill float64
-				b = -1
-				for k := first; k >= 0; k = linkNext[k] {
-					var s float64
-					for x := rowHead[k]; x >= 0; x = xs[x].next {
-						s += w
-					}
-					if fk := nonNeg(float64(caps[k]) / s); b < 0 || fk < bFill {
-						b, bFill, ws = k, fk, s
-					}
+			if fs := m / ws; wmin > ws*0x1p-40 && fs >= 0x1p-1022 && fs <= math.MaxFloat64 {
+				for x := rowHead[s]; x >= 0; x = xs[x].next {
+					f := xs[x].flow
+					rates[f] = units.Rate(nonNeg(m-0) * weights[f] / ws)
+					frozen[f] = true
+					sc.Bottleneck[f] = int(s)
 				}
+				continue
 			}
-			rates[f] = units.Rate(nonNeg(float64(caps[b])-0) * w / ws)
-			frozen[f] = true
-			sc.Bottleneck[f] = int(b)
-			continue
 		}
 
 		// Round one's weight sums. A link whose sum is not positive is

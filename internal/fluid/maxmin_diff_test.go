@@ -119,12 +119,12 @@ func (ix *incidence) apply(moves []indexMove) {
 
 // compView is one component of an incidence index in a canonical form:
 // its links ascending, each link's row (the flows crossing it, in row
-// order), its flow count and its uniform flag.
+// order), its flow count and its star link (-1 for none).
 type compView struct {
-	Links   []int
-	Rows    [][]int32
-	Flows   int
-	Uniform bool
+	Links []int
+	Rows  [][]int32
+	Flows int
+	Star  int
 }
 
 // view renders the index's components, ordered by lowest link. It also
@@ -137,7 +137,7 @@ func (ix *incidence) view() ([]compView, error) {
 	owned, live := 0, 0
 	for c := range ix.compHead {
 		cv := &comps[c]
-		cv.Flows, cv.Uniform = int(ix.compFlows[c]), ix.uniform[c]
+		cv.Flows, cv.Star = int(ix.compFlows[c]), int(ix.star[c])
 		flows := map[int32]bool{}
 		for l := ix.compHead[c]; l >= 0; l = ix.linkNext[l] {
 			if n := len(cv.Links); n > 0 && int(l) <= cv.Links[n-1] {
@@ -192,7 +192,7 @@ func (ix *incidence) view() ([]compView, error) {
 
 // refIndexView computes the canonical components of the active paths
 // directly: a union-find over the links each flow crosses, rows in
-// active order, and the uniform rule on single-flow components.
+// active order, and each component's star by refStar.
 func refIndexView(caps []units.Rate, active []*Job) []compView {
 	parent := make([]int, len(caps))
 	for l := range parent {
@@ -223,12 +223,11 @@ func refIndexView(caps []units.Rate, active []*Job) []compView {
 		if !ok {
 			c = len(comps)
 			byRoot[root(l)] = c
-			comps = append(comps, compView{Uniform: true})
+			comps = append(comps, compView{})
 		}
 		cv := &comps[c]
 		cv.Links = append(cv.Links, l)
 		cv.Rows = append(cv.Rows, row)
-		cv.Uniform = cv.Uniform && len(row) == 1 && math.Float64bits(float64(caps[l])) == math.Float64bits(float64(caps[cv.Links[0]]))
 	}
 	for c := range comps {
 		flows := map[int32]bool{}
@@ -238,9 +237,48 @@ func refIndexView(caps []units.Rate, active []*Job) []compView {
 			}
 		}
 		comps[c].Flows = len(flows)
-		comps[c].Uniform = comps[c].Uniform && len(flows) == 1
+		comps[c].Star = refStar(caps, &comps[c])
 	}
 	return comps
+}
+
+// refStar is starLink's rule, read off a rendered component: no flow
+// crosses a link twice, the least capacity m is positive and finite,
+// every other capacity is m or at least m·(1+2⁻⁴⁰), and the star is the
+// lowest link at m whose row holds every flow. It returns -1 otherwise.
+func refStar(caps []units.Rate, cv *compView) int {
+	if cv.Flows > maxStarFlows {
+		return -1
+	}
+	m := math.Inf(1)
+	for i, l := range cv.Links {
+		seen := map[int32]bool{}
+		for _, f := range cv.Rows[i] {
+			if seen[f] {
+				return -1
+			}
+			seen[f] = true
+		}
+		if k := float64(caps[l]); math.IsNaN(k) {
+			return -1
+		} else if k < m {
+			m = k
+		}
+	}
+	if m <= 0 || math.IsInf(m, 1) {
+		return -1
+	}
+	star := -1
+	for i, l := range cv.Links {
+		k := float64(caps[l])
+		if k != m && k < m*(1+0x1p-40) {
+			return -1
+		}
+		if k == m && len(cv.Rows[i]) == cv.Flows && star < 0 {
+			star = l
+		}
+	}
+	return star
 }
 
 // sameView reports whether two renderings hold the same components.
@@ -364,12 +402,13 @@ func TestMaxMinIncidenceSequence(t *testing.T) {
 	}
 }
 
-// TestMaxMinSingletonComponents checks the single-flow closed form against
-// the reference where its bottleneck choice is delicate: fills that tie
+// TestMaxMinSingletonComponents checks single-flow components against
+// the reference where the bottleneck choice is delicate: fills that tie
 // along the path (one link crossed twice, or two capacities one ulp apart
 // that cap/w rounds together), zero, negative, NaN and infinite weights,
-// and uniform and non-uniform singletons beside a multi-flow component in
-// the same call.
+// and singletons with and without a star beside a multi-flow component
+// in the same call. A singleton without a star, or whose weight fails
+// the closed form's checks, takes the general fill loop.
 func TestMaxMinSingletonComponents(t *testing.T) {
 	g := units.Rate(units.Gbps)
 	c := 10 * g
@@ -420,21 +459,12 @@ func TestMaxMinSingletonComponents(t *testing.T) {
 		if i > 0 {
 			continue
 		}
-		// The first call must exercise every shape it is meant to.
-		var uniform, scanned, multi int
-		for c, nf := range d.sc.inc.compFlows {
-			switch {
-			case nf > 1:
-				multi++
-			case d.sc.inc.uniform[c]:
-				uniform++
-			default:
-				scanned++
-			}
-		}
-		if uniform != 4 || scanned != 7 || multi != 1 {
-			t.Fatalf("components: %d uniform, %d scanned singletons, %d multi-flow; want 4, 7, 1",
-				uniform, scanned, multi)
+		// The first call must exercise every shape it is meant to: six
+		// singletons with a star (four of them with a weight the closed
+		// form refuses), five without, and a multi-flow component
+		// without one.
+		if stars, fills := starCounts(&d.sc.inc); stars != 6 || fills != 6 {
+			t.Fatalf("components: %d with a star, %d without; want 6, 6", stars, fills)
 		}
 		// The ties break toward the lower link, whichever capacity it
 		// has, and a doubled crossing can undercut a lower link.
@@ -442,6 +472,133 @@ func TestMaxMinSingletonComponents(t *testing.T) {
 			if got := d.sc.Bottleneck[f]; got != want {
 				t.Errorf("%s: bottleneck link %d, want %d", active[f].Spec.Label(), got, want)
 			}
+		}
+	}
+}
+
+// starCounts returns how many of the index's components have a star and
+// how many do not.
+func starCounts(ix *incidence) (stars, fills int) {
+	for _, s := range ix.star {
+		if s >= 0 {
+			stars++
+		} else {
+			fills++
+		}
+	}
+	return stars, fills
+}
+
+// TestMaxMinStarComponents checks the star closed form against the
+// reference on multi-flow components, and the cases it must refuse: a
+// star on equal capacities and one on the least capacity among larger
+// ones, capacities inside the 2⁻⁴⁰ margin, weights whose subset sum
+// rounds to the full sum or that include a zero, fills that overflow or
+// are subnormal, zero and infinite capacities, and a star lost and regained as flows leave and
+// join.
+func TestMaxMinStarComponents(t *testing.T) {
+	g := units.Rate(units.Gbps)
+	tiny := units.Rate(1e-300)
+	in := g * (1 + 0x1p-42)  // inside the margin above g
+	out := g * (1 + 0x1p-39) // outside it
+	inf := units.Rate(math.Inf(1))
+	nw := NewNetwork([]units.Rate{
+		g, g, g, // 0-2: a star on equal capacities
+		4 * g, 2 * g, 10 * g, // 3-5: a star on the least capacity
+		in, g, // 6-7: inside the margin
+		out, g, // 8-9: outside it
+		g, g, // 10-11: tiny weight
+		0, g, // 12-13: zero capacity
+		inf, g, inf, // 14-16: infinite capacity beside a finite one
+		inf,        // 17: infinite capacity alone
+		g, g, g, g, // 18-21: lost and regained
+		2 * g, g, // 22-23: fills overflow to +Inf
+		tiny * (1 + 0x1p-39), tiny, // 24-25: subnormal fills
+		g, g, // 26-27: zero weight
+	}, nil)
+	equalA := diffJob("equal-a", 3, []int{0, 1})
+	equalB := diffJob("equal-b", 0, []int{2, 1})
+	equalC := diffJob("equal-c", 3, []int{1})
+	leastA := diffJob("least-a", 3, []int{3, 4})
+	leastB := diffJob("least-b", 2, []int{4, 5})
+	inA := diffJob("in-a", 3, []int{6, 7})
+	inB := diffJob("in-b", 3, []int{7})
+	outA := diffJob("out-a", 3, []int{8, 9})
+	outB := diffJob("out-b", 3, []int{9})
+	// The full sum 1+1e-17 rounds to 1, so link 10 (flow tiny-a only)
+	// ties the star's fill and, being lower, is tiny-a's bottleneck.
+	tinyA := netJob("tiny-a", 1, []int{10, 11})
+	tinyB := netJob("tiny-b", 1e-17, []int{11})
+	zeroA := diffJob("zero-a", 3, []int{12, 13})
+	zeroB := diffJob("zero-b", 3, []int{13})
+	infA := diffJob("inf-a", 3, []int{14, 15})
+	infB := diffJob("inf-b", 0, []int{15, 16})
+	infC := diffJob("inf-c", 3, []int{17})
+	lostA := diffJob("lost-a", 3, []int{18, 19})
+	lostB := diffJob("lost-b", 3, []int{19, 20})
+	lostC := diffJob("lost-c", 3, []int{20, 21}) // no link is on all three
+	lostD := diffJob("lost-d", 3, []int{19, 19}) // crosses the star twice
+	// Both fills round to the same bits, +Inf or a subnormal, so the
+	// lower link, not the star, is the bottleneck.
+	overflow := netJob("overflow", 1e-300, []int{22, 23})
+	subnormal := netJob("subnormal", 1e20, []int{24, 25})
+	// Beside a zero weight, link 26 carries the whole weight sum too.
+	zeroW := diffJob("zero-w", 1, []int{27})
+	beside := diffJob("beside", 3, []int{26, 27})
+
+	base := []*Job{equalA, equalB, equalC, leastA, leastB, inA, inB, outA, outB,
+		tinyA, tinyB, zeroA, zeroB, infA, infB, infC, lostA, lostB, overflow, subnormal, zeroW, beside}
+	wantStar := map[int]int{0: 1, 3: 4, 6: -1, 8: 9, 10: 11, 12: -1, 14: 15, 17: -1, 18: 19, 22: 23, 24: 25, 26: 27}
+	d := &diffRunner{t: t}
+	sets := [][]*Job{
+		base,
+		append(slices.Clone(base), lostC), // the star is lost...
+		base,                              // ...and regained
+		append(slices.Clone(base), lostD),
+		base,
+	}
+	for i, active := range sets {
+		for k, j := range active {
+			setProgress(j, float64((i+k)%5)/4)
+		}
+		d.check(nw, active)
+		views, err := d.sc.inc.view()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cv := range views {
+			want, ok := wantStar[cv.Links[0]]
+			if cv.Links[0] == 18 && i%2 == 1 {
+				want = -1
+			}
+			if ok && cv.Star != want {
+				t.Errorf("set %d: component on links %v has star %d, want %d", i, cv.Links, cv.Star, want)
+			}
+		}
+		for f, want := range map[int]int{9: 10, 18: 22, 19: 24, 21: 26} {
+			if got := d.sc.Bottleneck[f]; got != want {
+				t.Errorf("set %d: %s's bottleneck is link %d, want %d (the tie with the star)",
+					i, active[f].Spec.Label(), got, want)
+			}
+		}
+	}
+}
+
+// TestMaxMinStarFlowBound checks that a component of more than
+// maxStarFlows flows has no star, so it takes the general fill loop, and
+// that one of exactly maxStarFlows flows has one.
+func TestMaxMinStarFlowBound(t *testing.T) {
+	nw := NewNetwork([]units.Rate{units.Gbps, units.Gbps}, nil)
+	pool := make([]*Job, maxStarFlows+1)
+	for i := range pool {
+		pool[i] = diffJob("f", 3, []int{0, 1}[:1+i%2])
+		setProgress(pool[i], float64(i%7)/6)
+	}
+	d := &diffRunner{t: t}
+	for _, n := range []int{maxStarFlows, maxStarFlows + 1, maxStarFlows} {
+		d.check(nw, pool[:n])
+		if stars, fills := starCounts(&d.sc.inc); (stars == 1) != (n <= maxStarFlows) || stars+fills != 1 {
+			t.Fatalf("%d flows on one link: %d components with a star, %d without", n, stars, fills)
 		}
 	}
 }
@@ -535,6 +692,24 @@ func FuzzMaxMinMatchesReference(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 1, 0, 2, 3, 2, 3, 5, 0, 0, 1, 1, 1, 2, 4, 0, 3, 5,
 		1, 4, 5, 3, 1, 5, 6, 0, 1, 6, 7, 5, 2,
 		0x3f, 1, 2, 3, 4, 5, 6, 0x1b, 7, 8, 9, 10, 0x37, 11, 12, 13, 14, 15})
+	// Two flows on two links one ulp apart, the lower link the larger:
+	// the star (the upper link) must fall back to the fill loop, which
+	// breaks a rounded tie toward the lower link.
+	f.Add([]byte{1, 4, 3, 1, 1, 0, 1, 3, 1, 1, 0, 3, 10,
+		0x03, 0, 255, 0x03, 1, 254, 0x03, 7, 100, 0x03, 13, 200, 0x03, 29, 31, 0x03, 64, 128,
+		0x03, 77, 91, 0x03, 101, 5, 0x03, 127, 3, 0x03, 150, 60, 0x03, 199, 17})
+	// A star (link 1) whose flows carry zero, NaN and negative weights
+	// beside an F(r) one: each mix must fall back to the fill loop. With
+	// a zero weight, link 0 ties the star's fill; with a negative one,
+	// link 0 or 2 undercuts it.
+	f.Add([]byte{2, 0, 0, 0, 3, 0, 1, 1, 0, 1, 5, 1, 1, 2, 4, 1, 0, 1, 3, 7,
+		0x0f, 10, 20, 30, 255, 0x09, 40, 250, 0x0c, 60, 255, 0x0a, 80, 200,
+		0x07, 90, 100, 110, 0x08, 120, 0x0d, 130, 140, 255, 0x0c, 150, 240})
+	// A star lost as a third flow joins and regained as it leaves, and a
+	// flow that crosses the would-be star twice.
+	f.Add([]byte{3, 0, 0, 0, 0, 2, 1, 0, 1, 3, 1, 1, 2, 0, 1, 2, 3, 3, 5,
+		0x03, 10, 20, 0x07, 30, 40, 50, 0x03, 60, 70, 0x06, 80, 90, 0x07, 100, 110, 120, 0x05, 130, 140,
+		1, 0, 0, 1, 1, 0, 1, 3, 1, 1, 1, 3, 2, 0x01, 33, 0x03, 66, 99, 0x01, 132})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {

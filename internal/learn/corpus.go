@@ -87,7 +87,7 @@ func WriteCorpus(w io.Writer, h CorpusHeader, runs []CorpusRun) error {
 	return bw.Flush()
 }
 
-// ReadCorpus parses a corpus file.
+// ReadCorpus parses a corpus file whose header's runs counts its run lines.
 func ReadCorpus(r io.Reader) (CorpusHeader, []CorpusRun, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
@@ -118,6 +118,9 @@ func ReadCorpus(r io.Reader) (CorpusHeader, []CorpusRun, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return CorpusHeader{}, nil, fmt.Errorf("learn: read corpus: %w", err)
+	}
+	if h.Runs != len(runs) {
+		return CorpusHeader{}, nil, fmt.Errorf("learn: corpus header runs %d, but %d run lines", h.Runs, len(runs))
 	}
 	return h, runs, nil
 }

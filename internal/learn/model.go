@@ -110,7 +110,10 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if m.Dim != Dim {
 		return nil, fmt.Errorf("learn: model dim %d, want %d", m.Dim, Dim)
 	}
-	for _, h := range m.Heads {
+	for i, h := range m.Heads {
+		if len(h.Stumps) == 0 {
+			m.Heads[i].Stumps = nil // Encode omits an empty stumps
+		}
 		if len(h.Weights) != m.Dim {
 			return nil, fmt.Errorf("learn: head %q has %d weights, want %d", h.Name, len(h.Weights), m.Dim)
 		}
