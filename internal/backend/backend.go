@@ -14,7 +14,9 @@
 package backend
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"mltcp/internal/config"
 	"mltcp/internal/sched"
@@ -201,10 +203,14 @@ func interleavedAt(jobs []JobResult, tol float64) int {
 // treated as extending to `until`.
 func overlapScore(jobs []JobResult, from, until sim.Time) float64 {
 	var edges []commEdge
+	var stack [64]edgeRun // runs for up to 64 jobs without a heap allocation
+	runs := stack[:0]
 	for i := range jobs {
+		start := len(edges)
 		edges = appendCommEdges(edges, &jobs[i], from, until)
+		runs = append(runs, edgeRun{start, len(edges)})
 	}
-	return sweepOverlap(edges)
+	return sweepOverlap(edges, runs)
 }
 
 // A commEdge is one end of a clipped communication interval: d = +1 at
@@ -214,9 +220,14 @@ type commEdge struct {
 	d  int
 }
 
+// An edgeRun is the span [next, end) of an edge slice holding one job's
+// edges in time order; next advances as the sweep consumes them.
+type edgeRun struct{ next, end int }
+
 // appendCommEdges appends j's communication intervals clipped to
-// [from, until) as start/end edge pairs, in phase order.
+// [from, until) as start/end edge pairs, in time order.
 func appendCommEdges(edges []commEdge, j *JobResult, from, until sim.Time) []commEdge {
+	first, sorted := len(edges), true
 	for i, s := range j.CommStarts {
 		e := until
 		if i < len(j.CommEnds) {
@@ -232,32 +243,54 @@ func appendCommEdges(edges []commEdge, j *JobResult, from, until sim.Time) []com
 			e = until
 		}
 		if e > s {
+			if n := len(edges); n > first && s < edges[n-1].at {
+				sorted = false
+			}
 			edges = append(edges, commEdge{s, +1}, commEdge{e, -1})
 		}
+	}
+	if !sorted {
+		// Only a malformed timeline gets here: a phase that starts before
+		// the previous one ends, or several phases without an end.
+		slices.SortFunc(edges[first:], func(a, b commEdge) int { return cmp.Compare(a.at, b.at) })
 	}
 	return edges
 }
 
-// sweepOverlap sorts edges in place and returns the overlap ratio of the
-// intervals they bound (0 when nothing communicates).
-func sweepOverlap(edges []commEdge) float64 {
-	if len(edges) == 0 {
-		return 0
-	}
-	// Insertion sort by time, ends before starts at ties (a phase ending
-	// exactly when another starts is interleaved, not overlapping).
-	for i := 1; i < len(edges); i++ {
-		for k := i; k > 0 && (edges[k].at < edges[k-1].at ||
-			(edges[k].at == edges[k-1].at && edges[k].d < edges[k-1].d)); k-- {
-			edges[k], edges[k-1] = edges[k-1], edges[k]
+// sweepOverlap returns the overlap ratio of the intervals bounded by the
+// edges in runs (0 when nothing communicates). It consumes the runs in
+// merged time order, advancing each run's next.
+//
+// Any time order gives the same floats: the sweep adds depth·dt at each
+// edge, and between edges at equal times dt = 0, so neither the order of
+// ties nor a depth seen only between them changes the sums. A phase
+// ending exactly when another starts is therefore interleaved, not
+// overlapping.
+func sweepOverlap(edges []commEdge, runs []edgeRun) float64 {
+	live := runs[:0]
+	for _, r := range runs {
+		if r.next < r.end {
+			live = append(live, r)
 		}
 	}
+	runs = live
 	var commTime, overlapTime float64
 	depth := 0
-	prev := edges[0].at
-	for _, e := range edges {
-		dt := (e.at - prev).Seconds()
+	var prev sim.Time // read only once depth > 0, by then set
+	for len(runs) > 0 {
+		m := 0
+		for r := 1; r < len(runs); r++ {
+			if edges[runs[r].next].at < edges[runs[m].next].at {
+				m = r
+			}
+		}
+		e := edges[runs[m].next]
+		if runs[m].next++; runs[m].next == runs[m].end {
+			runs[m] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
 		if depth > 0 {
+			dt := (e.at - prev).Seconds()
 			commTime += float64(depth) * dt
 			if depth > 1 {
 				overlapTime += float64(depth-1) * dt
@@ -298,6 +331,9 @@ func finishCluster(r *Result) {
 		for _, l := range r.Jobs[i].PathLinks {
 			onPath[l] = true
 		}
+		// Job i's edges stay at the front of the buffer for all its pairs.
+		edges = appendCommEdges(edges[:0], &r.Jobs[i], from, until)
+		n := len(edges)
 		for k := i + 1; k < len(r.Jobs); k++ {
 			shared := false
 			for _, l := range r.Jobs[k].PathLinks {
@@ -306,11 +342,11 @@ func finishCluster(r *Result) {
 					break
 				}
 			}
-			// The pair's edges in overlapScore's order (job i's, then
-			// job k's), so the sweep sums the same floats.
-			edges = appendCommEdges(edges[:0], &r.Jobs[i], from, until)
-			edges = appendCommEdges(edges, &r.Jobs[k], from, until)
-			ov := sweepOverlap(edges)
+			// The same runs overlapScore sweeps for the pair, so the
+			// score is the same float.
+			edges = appendCommEdges(edges[:n], &r.Jobs[k], from, until)
+			pair := [2]edgeRun{{0, n}, {n, len(edges)}}
+			ov := sweepOverlap(edges, pair[:])
 			if shared {
 				c.SharingPairs++
 				c.SharedOverlap += ov
