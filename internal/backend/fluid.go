@@ -65,8 +65,8 @@ func (b *Fluid) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*Re
 				BytesPerIter: int64(spec.Profile.CommBytes),
 			}
 			if cl != nil {
-				mjobs[i].SrcRack = fmt.Sprintf("rack%d", cl.Placements[i].SrcRack)
-				mjobs[i].DstRack = fmt.Sprintf("rack%d", cl.Placements[i].DstRack)
+				mjobs[i].SrcRack = config.RackName(cl.Placements[i].SrcRack)
+				mjobs[i].DstRack = config.RackName(cl.Placements[i].DstRack)
 				mjobs[i].Links = cl.PathNames[i]
 			}
 		}
@@ -137,8 +137,8 @@ func (b *Fluid) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*Re
 			IterTimes:      j.IterDurations,
 		}
 		if cl != nil {
-			jr.SrcRack = fmt.Sprintf("rack%d", cl.Placements[i].SrcRack)
-			jr.DstRack = fmt.Sprintf("rack%d", cl.Placements[i].DstRack)
+			jr.SrcRack = config.RackName(cl.Placements[i].SrcRack)
+			jr.DstRack = config.RackName(cl.Placements[i].DstRack)
 			jr.PathLinks = cl.PathNames[i]
 		}
 		for i := range j.CommEnds {

@@ -116,8 +116,8 @@ func (b *Learned) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*
 		res.Jobs = append(res.Jobs, synthesizeJob(spec, pc.IdealCap(i, s.Capacity()), shat, horizon))
 		if pc != nil {
 			jr := &res.Jobs[len(res.Jobs)-1]
-			jr.SrcRack = fmt.Sprintf("rack%d", pc.Placements[i].SrcRack)
-			jr.DstRack = fmt.Sprintf("rack%d", pc.Placements[i].DstRack)
+			jr.SrcRack = config.RackName(pc.Placements[i].SrcRack)
+			jr.DstRack = config.RackName(pc.Placements[i].DstRack)
 			jr.PathLinks = pc.PathNames[i]
 		}
 	}
@@ -180,8 +180,8 @@ func (b *Learned) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*
 				BytesPerIter: int64(spec.Profile.CommBytes),
 			}
 			if pc != nil {
-				mjobs[i].SrcRack = fmt.Sprintf("rack%d", pc.Placements[i].SrcRack)
-				mjobs[i].DstRack = fmt.Sprintf("rack%d", pc.Placements[i].DstRack)
+				mjobs[i].SrcRack = config.RackName(pc.Placements[i].SrcRack)
+				mjobs[i].DstRack = config.RackName(pc.Placements[i].DstRack)
 				mjobs[i].Links = pc.PathNames[i]
 			}
 		}

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"mltcp/internal/netsim"
@@ -118,13 +119,17 @@ func (t *Topology) hostsPerRack() int {
 	return t.HostsPerLeaf
 }
 
+// RackName returns rack i's placement name, "rack" followed by i in
+// decimal: the name jobs reference and results report.
+func RackName(i int) string { return "rack" + strconv.Itoa(i) }
+
 // RackNames returns the placement names jobs may reference, "rack0"
 // through "rack{N-1}" — the registry topology-placement validation errors
 // list.
 func (t *Topology) RackNames() []string {
 	names := make([]string, t.Racks())
 	for i := range names {
-		names[i] = fmt.Sprintf("rack%d", i)
+		names[i] = RackName(i)
 	}
 	return names
 }
@@ -137,7 +142,7 @@ func (t *Topology) rackList() string {
 	if n <= 8 {
 		return strings.Join(t.RackNames(), ", ")
 	}
-	return fmt.Sprintf("rack0, rack1, ..., rack%d", n-1)
+	return "rack0, rack1, ..., " + RackName(n-1)
 }
 
 // rackIndex resolves a placement name against the registry.

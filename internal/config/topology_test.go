@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -275,5 +276,20 @@ func TestPlacements(t *testing.T) {
 	// No topology: no placements.
 	if p := (Scenario{Jobs: s.Jobs}).Placements(); p != nil {
 		t.Errorf("dumbbell Placements() = %v, want nil", p)
+	}
+}
+
+// TestRackNameRoundTrips checks that RackName spells "rack%d" and that
+// the placement parser reads every name back as its rack.
+func TestRackNameRoundTrips(t *testing.T) {
+	top := &Topology{Kind: KindLeafSpine, Leaves: 300}
+	for i := range top.Racks() {
+		name := RackName(i)
+		if want := fmt.Sprintf("rack%d", i); name != want {
+			t.Fatalf("RackName(%d) = %q, want %q", i, name, want)
+		}
+		if got, ok := top.rackIndex(name); !ok || got != i {
+			t.Fatalf("rackIndex(%q) = %d, %v; want %d, true", name, got, ok, i)
+		}
 	}
 }

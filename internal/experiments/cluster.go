@@ -97,8 +97,8 @@ func ClusterScenario(o ClusterOpts) *config.Scenario {
 			Name:     fmt.Sprintf("j%03d", i),
 			Profile:  profiles[i%len(profiles)],
 			OffsetMS: at.Seconds() * 1e3,
-			SrcRack:  fmt.Sprintf("rack%d", src),
-			DstRack:  fmt.Sprintf("rack%d", dst),
+			SrcRack:  config.RackName(src),
+			DstRack:  config.RackName(dst),
 			Iters:    1 + rng.Intn(2*meanIters-1),
 			Seed:     uint64(i+1) * 1000,
 		}

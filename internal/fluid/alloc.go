@@ -12,34 +12,40 @@ import (
 // call, so steady-state allocation decisions touch only flat arrays and
 // allocate nothing. On a network, Sim.New sizes every slice once
 // (reserve); otherwise they grow on demand and are then recycled.
+//
+// The network allocator writes every Weights and Bottleneck element on
+// every call. Its own per-flow frozen flags it clears only for the flows
+// of components that take the fill loop, the one code that reads them.
 type AllocScratch struct {
 	// Per-flow (length = number of active jobs):
-	Frozen     []bool
 	Weights    []float64
-	Bottleneck []int // link that froze each flow (-1 while unfrozen / single-link)
+	Bottleneck []int // link that froze each flow (-1 if none did; unset for single-link)
+	frozen     []bool
 
 	// inc is the max-min allocator's incidence index over the active
 	// paths, kept across calls: Sim reports every join and leave to it,
 	// and a direct caller marks it stale with Reindex.
 	inc incidence
 
-	// Per link of the indexed network, by link id:
-	load  []float64 // frozen rate charged to the link
-	wsum  []float64 // unfrozen weight crossing the link
-	fill  []float64 // cached max(0, (capacity-load)/wsum) while a candidate
-	done  []bool    // bottleneck already, or never a candidate this call
-	mark  []uint32  // mark[l] == gen: touched by a freeze this round
-	gen   uint32    // the current round's mark
-	touch []int32   // the links marked this round, in marking order
+	// Per candidate link of the indexed network, by link id (the fill
+	// loop reads and writes no other link's):
+	load []float64 // frozen rate charged to the link
+	wsum []float64 // unfrozen weight crossing the link
+	fill []float64 // cached max(0, (capacity-load)/wsum) while in the running
+	done []bool    // bottleneck already, or never in the running this call
+	mark []uint32  // mark[l] == gen: touched by a freeze this round
+	gen  uint32    // the current round's mark
 }
 
 // incidence indexes which active flows cross which links of one network,
 // and how those links group into link-connected components. Every
 // per-link array is indexed by link id and every per-flow array by
-// active position. It is kept incrementally: join adds one flow and
-// leave drops one, each touching only that flow's links and the
-// components they belong to. A full build is reset followed by a join
-// per active flow, in active order.
+// active position. Each component also keeps its star and its
+// candidate chain, one link per twin class, which attach rebuilds
+// whenever the component changes. It is kept incrementally: join adds
+// one flow and leave drops one, each touching only that flow's links
+// and the components they belong to. A full build is reset followed by
+// a join per active flow, in active order.
 //
 // The index is not checked against its input: the caller keeps it in
 // step with the active set (Sim by join and leave, anyone else by
@@ -66,14 +72,18 @@ type incidence struct {
 	// starLink): a link every flow crosses, the bottleneck of every flow
 	// in round one, so the allocator fills the component in closed form.
 	// On a one-rate fat-tree every single-flow component has a star, and
-	// most multi-flow ones do. Components are
-	// numbered densely; their order does not affect any rate, since each
-	// is filled on its own.
+	// most multi-flow ones do. cand[c] heads component c's candidate
+	// chain (see candidates): the lowest link of each twin class, in
+	// ascending order, continued by candNext[...]; candNext is -2 on a
+	// component's other links. Components are numbered densely; their
+	// order does not affect any rate, since each is filled on its own.
 	compOf    []int32
 	linkNext  []int32
+	candNext  []int32
 	compHead  []int32
 	compFlows []int32
 	star      []int32
+	cand      []int32
 	// rest is leave's scratch: the flows left in a dissolved component.
 	rest []int32
 }
@@ -102,6 +112,7 @@ func (sc *AllocScratch) reserve(caps []units.Rate, flows, hops int) {
 	ix.compHead = grow(ix.compHead, flows)
 	ix.compFlows = grow(ix.compFlows, flows)
 	ix.star = grow(ix.star, flows)
+	ix.cand = grow(ix.cand, flows)
 	ix.rest = grow(ix.rest, flows)
 	sc.reset(caps)
 }
@@ -114,7 +125,6 @@ func (sc *AllocScratch) reset(caps []units.Rate) {
 	sc.wsum = grow(sc.wsum, nl)
 	sc.fill = grow(sc.fill, nl)
 	sc.done = grow(sc.done, nl)
-	sc.touch = grow(sc.touch, nl)
 	sc.mark = grow(sc.mark, nl)
 	clear(sc.mark)
 	sc.gen = 0
@@ -124,6 +134,7 @@ func (sc *AllocScratch) reset(caps []units.Rate) {
 	ix.rowHead = grow(ix.rowHead, nl)
 	ix.compOf = grow(ix.compOf, nl)
 	ix.linkNext = grow(ix.linkNext, nl)
+	ix.candNext = grow(ix.candNext, nl)
 	for l := range nl {
 		ix.rowHead[l], ix.compOf[l] = -1, -1
 	}
@@ -134,6 +145,7 @@ func (sc *AllocScratch) reset(caps []units.Rate) {
 	ix.compHead = ix.compHead[:0]
 	ix.compFlows = ix.compFlows[:0]
 	ix.star = ix.star[:0]
+	ix.cand = ix.cand[:0]
 	ix.built = true
 }
 
@@ -154,23 +166,19 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// weights (re)sizes just the Weights slice and returns it. The
-// single-link fillers never read Frozen or Bottleneck, so they skip the
-// per-flow clear that flows performs for the network allocator.
+// weights (re)sizes just the Weights slice and returns it: the
+// single-link fillers use no other per-flow slice.
 func (sc *AllocScratch) weights(n int) []float64 {
 	sc.Weights = grow(sc.Weights, n)
 	return sc.Weights
 }
 
-// flows (re)sizes and clears the per-flow slices.
+// flows (re)sizes the per-flow slices. It clears nothing: the network
+// allocator writes or clears each element before it reads it.
 func (sc *AllocScratch) flows(n int) {
-	sc.Frozen = grow(sc.Frozen, n)
+	sc.frozen = grow(sc.frozen, n)
 	sc.Weights = grow(sc.Weights, n)
 	sc.Bottleneck = grow(sc.Bottleneck, n)
-	for i := 0; i < n; i++ {
-		sc.Frozen[i] = false
-		sc.Bottleneck[i] = -1
-	}
 }
 
 // join indexes a flow with the given path at active position i; the
@@ -286,6 +294,7 @@ func (ix *incidence) attach(f int32) {
 		ix.compHead = append(ix.compHead, -1)
 		ix.compFlows = append(ix.compFlows, 0)
 		ix.star = append(ix.star, -1)
+		ix.cand = append(ix.cand, -1)
 	}
 	for _, l := range path {
 		if ix.compOf[l] < 0 { // not in c already, nor a repeat crossing
@@ -295,6 +304,7 @@ func (ix *incidence) attach(f int32) {
 	}
 	ix.compFlows[c]++
 	ix.star[c] = ix.starLink(c)
+	ix.cand[c] = ix.candidates(c)
 }
 
 // shift adds by to every crossing's flow from flow from on.
@@ -307,7 +317,8 @@ func (ix *incidence) shift(from, by int32) {
 }
 
 // merge folds component d into component c and returns c's number
-// afterwards (dropping d renumbers the last component).
+// afterwards (dropping d renumbers the last component). c's star and
+// candidate chain are stale until attach recomputes them.
 func (ix *incidence) merge(c, d int32) int32 {
 	ix.compHead[c] = ix.mergeLinks(ix.compHead[c], ix.compHead[d], c)
 	ix.compFlows[c] += ix.compFlows[d]
@@ -324,7 +335,8 @@ func (ix *incidence) merge(c, d int32) int32 {
 func (ix *incidence) dropComp(c int32) {
 	last := int32(len(ix.compHead) - 1)
 	if c != last {
-		ix.compHead[c], ix.compFlows[c], ix.star[c] = ix.compHead[last], ix.compFlows[last], ix.star[last]
+		ix.compHead[c], ix.compFlows[c] = ix.compHead[last], ix.compFlows[last]
+		ix.star[c], ix.cand[c] = ix.star[last], ix.cand[last]
 		for l := ix.compHead[c]; l >= 0; l = ix.linkNext[l] {
 			ix.compOf[l] = c
 		}
@@ -332,6 +344,7 @@ func (ix *incidence) dropComp(c int32) {
 	ix.compHead = ix.compHead[:last]
 	ix.compFlows = ix.compFlows[:last]
 	ix.star = ix.star[:last]
+	ix.cand = ix.cand[:last]
 }
 
 // mergeLinks merges the ascending link lists a and b, which share no
@@ -394,6 +407,48 @@ func (ix *incidence) starLink(c int32) int32 {
 		}
 	}
 	return star
+}
+
+// candidates threads component c's candidate chain and returns its
+// head: walking c's links in ascending order, a link joins the chain
+// unless an earlier candidate is its twin. Every link of c is thus a
+// candidate or the twin of a lower one, and no two candidates are
+// twins. The fill loop scans only the chain; why that is exact is in
+// AllocateNetworkInto's doc comment.
+func (ix *incidence) candidates(c int32) int32 {
+	head, tail := int32(-1), int32(-1)
+	for l := ix.compHead[c]; l >= 0; l = ix.linkNext[l] {
+		twin := false
+		for k := head; k >= 0 && !twin; k = ix.candNext[k] {
+			twin = ix.twins(k, l)
+		}
+		if twin {
+			ix.candNext[l] = -2
+			continue
+		}
+		ix.candNext[l] = -1
+		if tail < 0 {
+			head = l
+		} else {
+			ix.candNext[tail] = l
+		}
+		tail = l
+	}
+	return head
+}
+
+// twins reports whether links k and l are twins: capacities of the
+// same bits, and rows that hold the same flows in the same order, each
+// the same number of times.
+func (ix *incidence) twins(k, l int32) bool {
+	if !sameBits(ix.caps[k], ix.caps[l]) {
+		return false
+	}
+	x, y := ix.rowHead[k], ix.rowHead[l]
+	for x >= 0 && y >= 0 && ix.xs[x].flow == ix.xs[y].flow {
+		x, y = ix.xs[x].next, ix.xs[y].next
+	}
+	return x < 0 && y < 0
 }
 
 // sameBits reports whether two rates are the same float64.

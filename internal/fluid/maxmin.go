@@ -100,12 +100,30 @@ func (p MaxMin) AllocateNetwork(nw *Network, active []*Job) []units.Rate {
 //     to a lower link, is possible. A fill that overflows or is
 //     subnormal can tie, and a weight that is not positive, NaN or tiny
 //     beside S breaks (c): those take the fill loop.
+//   - The fill loop runs over the component's candidate chain
+//     (incidence.candidates), one link per twin class: links whose
+//     capacities have the same bits and whose rows hold the same flows,
+//     in the same order, the same number of times. In the plain rescan,
+//     twins get the same round-one weight sum (the same additions in
+//     the same order) and the same load (every frozen flow charges both
+//     the same r, the same number of times, in the same order), so the
+//     same fill bits in every round. The lower twin, the candidate,
+//     wins every tie; when it is the bottleneck, every unfrozen flow of
+//     the higher twin freezes with it, which leaves the higher twin no
+//     weight. So the higher twin is never a bottleneck, and scanning,
+//     charging and re-summing only candidates changes no rate and no
+//     bottleneck. (A link whose row is a strict subset of another's is
+//     kept: ruling it out would need tie margins, as the star does.)
 //   - The flows on a bottleneck come from its row, in active order —
 //     the order a scan over every active path finds them in.
-//   - After a round only the links a frozen flow crosses have their
+//   - After a round only the candidates a frozen flow crosses have their
 //     weight sum and fill recomputed. Each is re-summed over its row
 //     in flow order, the same float additions in the same order as a sum
 //     from scratch; every other link's sum and fill are unchanged.
+//   - Per-flow scratch is cleared only where it is read: the star path
+//     writes every rate and bottleneck of its flows and reads no frozen
+//     flag, so only the fill loop clears its component's flows' flags
+//     and bottlenecks, in its round-one sums.
 //
 // Every rate, and the freezing link recorded in sc.Bottleneck, is thus
 // bit-identical to the plain per-round rescan (pinned against it by the
@@ -124,7 +142,7 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 		return
 	}
 	sc.flows(n)
-	frozen, weights := sc.Frozen, sc.Weights
+	frozen, weights, bottleneck := sc.frozen, sc.Weights, sc.Bottleneck
 	for i, j := range active {
 		if len(j.Path) == 0 {
 			panicNoPath(j)
@@ -135,11 +153,10 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 	if !ix.built {
 		sc.rebuild(nw.Capacities, active)
 	}
-	caps, rowHead, xs, linkNext := nw.Capacities, ix.rowHead, ix.xs, ix.linkNext
-	load, wsum, fill, done, mark, touch := sc.load, sc.wsum, sc.fill, sc.done, sc.mark, sc.touch
+	caps, rowHead, xs, candNext := nw.Capacities, ix.rowHead, ix.xs, ix.candNext
+	load, wsum, fill, done, mark := sc.load, sc.wsum, sc.fill, sc.done, sc.mark
 
 	for c, nf := range ix.compFlows {
-		first := ix.compHead[c]
 		if s := ix.star[c]; s >= 0 {
 			m, ws, wmin := float64(caps[s]), 0.0, math.Inf(1)
 			for x := rowHead[s]; x >= 0; x = xs[x].next {
@@ -151,20 +168,25 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 				for x := rowHead[s]; x >= 0; x = xs[x].next {
 					f := xs[x].flow
 					rates[f] = units.Rate(nonNeg(m-0) * weights[f] / ws)
-					frozen[f] = true
-					sc.Bottleneck[f] = int(s)
+					bottleneck[f] = int(s)
 				}
 				continue
 			}
 		}
 
-		// Round one's weight sums. A link whose sum is not positive is
-		// no candidate for the whole call (with non-negative weights its
-		// sum stays 0 as flows freeze), so it is marked done up front.
-		for k := first; k >= 0; k = linkNext[k] {
+		// Round one's weight sums, over the candidate chain. Every flow
+		// of the component is on some candidate's row, so this is also
+		// where its per-flow state is cleared. A link whose sum is not
+		// positive is out of the running for the whole call (with
+		// non-negative weights its sum stays 0 as flows freeze), so it is
+		// marked done up front.
+		first := ix.cand[c]
+		for k := first; k >= 0; k = candNext[k] {
 			var w float64
 			for x := rowHead[k]; x >= 0; x = xs[x].next {
-				w += weights[xs[x].flow]
+				f := xs[x].flow
+				w += weights[f]
+				frozen[f], bottleneck[f] = false, -1
 			}
 			wsum[k], load[k], done[k] = w, 0, !(w > 0)
 			if w > 0 {
@@ -176,7 +198,7 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 			// weight, lowest link on ties.
 			b := int32(-1)
 			var bFill float64
-			for k := first; k >= 0; k = linkNext[k] {
+			for k := first; k >= 0; k = candNext[k] {
 				if done[k] || wsum[k] <= 0 {
 					continue
 				}
@@ -193,7 +215,7 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 				clear(mark)
 				sc.gen = 1
 			}
-			gen, nt := sc.gen, 0
+			gen := sc.gen
 			for x := rowHead[b]; x >= 0; x = xs[x].next {
 				f := xs[x].flow
 				if frozen[f] {
@@ -205,14 +227,12 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 				r := headroom * weights[f] / wsum[b]
 				rates[f] = units.Rate(r)
 				frozen[f] = true
-				sc.Bottleneck[f] = int(b)
+				bottleneck[f] = int(b)
 				remaining--
 				for _, k := range ix.paths[f] {
-					load[k] += r
-					if mark[k] != gen {
+					if candNext[k] >= -1 { // a higher twin's load is never read
+						load[k] += r
 						mark[k] = gen
-						touch[nt] = int32(k)
-						nt++
 					}
 				}
 			}
@@ -220,8 +240,8 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 			if remaining == 0 {
 				break // nothing left to fill: skip the recompute
 			}
-			for _, k := range touch[:nt] {
-				if done[k] {
+			for k := first; k >= 0; k = candNext[k] {
+				if done[k] || mark[k] != gen {
 					continue
 				}
 				var w float64

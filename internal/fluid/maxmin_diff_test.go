@@ -119,19 +119,23 @@ func (ix *incidence) apply(moves []indexMove) {
 
 // compView is one component of an incidence index in a canonical form:
 // its links ascending, each link's row (the flows crossing it, in row
-// order), its flow count and its star link (-1 for none).
+// order), its flow count, its star link (-1 for none) and its candidate
+// chain.
 type compView struct {
 	Links []int
 	Rows  [][]int32
 	Flows int
 	Star  int
+	Cands []int
 }
 
 // view renders the index's components, ordered by lowest link. It also
 // checks the bookkeeping the rendering does not show: every link of a
 // component is labelled with it and listed once in ascending order, the
-// rows are in flow order and hold only indexed flows, a link outside
-// every component has an empty row, and the free crossings are unused.
+// rows are in flow order and hold only indexed flows, the candidate
+// chain is ascending and every other link of the component is marked
+// off it, a link outside every component has an empty row, and the free
+// crossings are unused.
 func (ix *incidence) view() ([]compView, error) {
 	comps := make([]compView, len(ix.compHead))
 	owned, live := 0, 0
@@ -165,6 +169,17 @@ func (ix *incidence) view() ([]compView, error) {
 		if len(flows) != cv.Flows {
 			return nil, fmt.Errorf("component %d counts %d flows, its rows hold %d", c, cv.Flows, len(flows))
 		}
+		for l := ix.cand[c]; l >= 0; l = ix.candNext[l] {
+			if n := len(cv.Cands); (n > 0 && int(l) <= cv.Cands[n-1]) || ix.compOf[l] != int32(c) {
+				return nil, fmt.Errorf("component %d's candidate chain %v then link %d", c, cv.Cands, l)
+			}
+			cv.Cands = append(cv.Cands, int(l))
+		}
+		for _, l := range cv.Links {
+			if (ix.candNext[l] != -2) != slices.Contains(cv.Cands, l) {
+				return nil, fmt.Errorf("component %d: link %d has candNext %d, chain %v", c, l, ix.candNext[l], cv.Cands)
+			}
+		}
 		owned += len(cv.Links)
 	}
 	for l, c := range ix.compOf[:len(ix.caps)] {
@@ -192,7 +207,8 @@ func (ix *incidence) view() ([]compView, error) {
 
 // refIndexView computes the canonical components of the active paths
 // directly: a union-find over the links each flow crosses, rows in
-// active order, and each component's star by refStar.
+// active order, each component's star by refStar and its candidate
+// chain by refCands.
 func refIndexView(caps []units.Rate, active []*Job) []compView {
 	parent := make([]int, len(caps))
 	for l := range parent {
@@ -238,8 +254,27 @@ func refIndexView(caps []units.Rate, active []*Job) []compView {
 		}
 		comps[c].Flows = len(flows)
 		comps[c].Star = refStar(caps, &comps[c])
+		comps[c].Cands = refCands(caps, &comps[c])
 	}
 	return comps
+}
+
+// refCands is the candidate chain's rule, read off a rendered
+// component by comparing every pair of its links: a link is a
+// candidate unless a lower link has a capacity of the same bits and an
+// equal row, the same flows in the same order.
+func refCands(caps []units.Rate, cv *compView) []int {
+	var cands []int
+	for i, l := range cv.Links {
+		twin := false
+		for k := range i {
+			twin = twin || sameBits(caps[cv.Links[k]], caps[l]) && slices.Equal(cv.Rows[k], cv.Rows[i])
+		}
+		if !twin {
+			cands = append(cands, l)
+		}
+	}
+	return cands
 }
 
 // refStar is starLink's rule, read off a rendered component: no flow
@@ -584,6 +619,72 @@ func TestMaxMinStarComponents(t *testing.T) {
 	}
 }
 
+// TestMaxMinTwinLinks checks the candidate chain against the reference
+// on components that take the fill loop: twins on equal capacities,
+// equal rows on capacities one ulp apart (not twins), a link crossed
+// twice by a flow beside a link it crosses once (the same flows, but
+// not the same row), zero and NaN weights on twins, and a twin class
+// that a join splits and the leave merges again.
+func TestMaxMinTwinLinks(t *testing.T) {
+	g := units.Rate(units.Gbps)
+	up := units.Rate(math.Nextafter(float64(g), math.Inf(1)))
+	nw := NewNetwork([]units.Rate{
+		g, g, g, g, 4 * g, 4 * g, // 0-5: twins on equal capacities
+		g, up, g, // 6-8: equal rows one ulp apart
+		g, g, g, // 9-11: a doubled crossing beside a single one
+		g, g, g, // 12-14: zero and NaN weights on twins
+		g, g, 2 * g, g, // 15-18: a twin class split and merged again
+	}, nil)
+	all := []*Job{
+		diffJob("equal-a", 3, []int{0, 1, 2, 4, 5}),
+		diffJob("equal-b", 0, []int{1, 2, 3}),
+		diffJob("equal-c", 3, []int{3}),
+		diffJob("ulp-a", 3, []int{6, 7}),
+		diffJob("ulp-b", 2, []int{7, 6, 8}),
+		diffJob("ulp-c", 3, []int{8}),
+		// Link 10 has the lower fill, so it, not link 9, is the
+		// bottleneck: a chain that took its row for link 9's, the same
+		// flows once each, would lose it.
+		diffJob("twice", 3, []int{10, 9, 10}),
+		diffJob("once", 0, []int{9, 10, 11}),
+		diffJob("zero", 1, []int{12, 13}),
+		diffJob("nan", 5, []int{12, 13, 14}),
+		diffJob("nan-beside", 3, []int{14}),
+		diffJob("split", 3, []int{15, 16, 17, 17}),
+	}
+	joiner := diffJob("joiner", 3, []int{16, 18})
+	wantCands := map[int][]int{0: {0, 1, 3, 4}, 6: {6, 7, 8}, 9: {9, 10, 11}, 12: {12, 14}, 15: {15, 17}}
+	joined := append([]*Job{joiner}, all...) // every other flow moves up one
+
+	d := &diffRunner{t: t}
+	for i, active := range [][]*Job{all, joined, all, joined} {
+		for k, j := range active {
+			setProgress(j, float64((i+k)%5)/4)
+		}
+		d.check(nw, active)
+		views, err := d.sc.inc.view()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cv := range views {
+			want := wantCands[cv.Links[0]]
+			if cv.Links[0] == 15 && i%2 == 1 {
+				want = []int{15, 16, 17, 18} // the joiner splits 15 from 16
+			}
+			if cv.Star >= 0 || !slices.Equal(cv.Cands, want) {
+				t.Errorf("set %d: component on links %v: star %d, candidates %v; want no star, %v",
+					i, cv.Links, cv.Star, cv.Cands, want)
+			}
+		}
+		for f, want := range map[int]int{6: 10, 7: 10} {
+			f += i % 2
+			if got := d.sc.Bottleneck[f]; got != want {
+				t.Errorf("set %d: %s's bottleneck is link %d, want %d", i, active[f].Spec.Label(), got, want)
+			}
+		}
+	}
+}
+
 // TestMaxMinStarFlowBound checks that a component of more than
 // maxStarFlows flows has no star, so it takes the general fill loop, and
 // that one of exactly maxStarFlows flows has one.
@@ -710,6 +811,17 @@ func FuzzMaxMinMatchesReference(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 0, 2, 1, 0, 1, 3, 1, 1, 2, 0, 1, 2, 3, 3, 5,
 		0x03, 10, 20, 0x07, 30, 40, 50, 0x03, 60, 70, 0x06, 80, 90, 0x07, 100, 110, 120, 0x05, 130, 140,
 		1, 0, 0, 1, 1, 0, 1, 3, 1, 1, 1, 3, 2, 0x01, 33, 0x03, 66, 99, 0x01, 132})
+	// Twins on equal capacities: links 1 and 2 carry the same two
+	// flows, and a third flow on link 3 leaves the component no star.
+	f.Add([]byte{3, 0, 0, 0, 0, 2, 2, 0, 1, 2, 3, 2, 1, 2, 3, 0, 0, 3, 3,
+		3, 0x07, 10, 20, 30, 0x03, 40, 50, 0x07, 60, 70, 80, 0x05, 90, 100})
+	// Equal rows on links 0 and 1, one ulp apart (no twins), and link 3
+	// crossed twice by a flow that crosses link 2 once beside it.
+	f.Add([]byte{3, 3, 4, 3, 3, 2, 3, 0, 1, 2, 3, 2, 1, 0, 1, 3, 2, 3, 2, 3, 3,
+		3, 0x07, 10, 20, 30, 0x05, 40, 50, 0x07, 60, 70, 80, 0x06, 90, 100})
+	// Twins carrying a zero and a NaN weight, beside an F(r) flow.
+	f.Add([]byte{2, 0, 0, 0, 2, 1, 0, 1, 1, 2, 0, 1, 2, 5, 0, 2, 3,
+		2, 0x07, 10, 20, 30, 0x03, 40, 50, 0x07, 60, 70, 80})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -816,7 +928,7 @@ func TestMaxMinReservedScratchAllocatesNothing(t *testing.T) {
 // leaving after a few iterations, the fabric benchmark's shape. After
 // every 1ms step the incidence index Sim keeps by joins and leaves must
 // equal a from-scratch build over the current active paths: the same
-// components (link sets, rows in order) and the same uniform flags. A
+// components (link sets, rows in order), stars and candidate chains. A
 // Sim that changes its active set without reporting it, or an update
 // that skips a merge or a re-split, fails here, not as a silently wrong
 // rate.
