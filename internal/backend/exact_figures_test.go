@@ -38,10 +38,16 @@ type exactFigures struct {
 	InterleavedAt int    `json:"interleaved_at"`
 }
 
-// exactFigurePoints is the golden-trace scenario list plus every fluid
-// point answered by the learned tier, named learned/<scenario>.
+// exactFigurePoints is the golden-trace scenario list's exact-tier points
+// plus every fluid point answered by the learned tier, named
+// learned/<scenario>.
 func exactFigurePoints() []hotpathPoint {
-	pts := hotpathPoints()
+	var pts []hotpathPoint
+	for _, pt := range hotpathPoints() {
+		if pt.backendName != backend.NameLearned {
+			pts = append(pts, pt)
+		}
+	}
 	for _, pt := range hotpathPoints() {
 		if pt.backendName == backend.NameFluid {
 			pts = append(pts, hotpathPoint{

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -25,12 +28,14 @@ var updateHotpathGolden = flag.Bool("update-hotpath", false,
 	"re-bless testdata/hotpath_golden.json (forbidden during hot-path refactors; see the test comment)")
 
 // hotpathDigest is the per-point fingerprint: a SHA-256 of the full
-// telemetry event stream (the byte-identical contract) and of the
-// JSON-encoded Result (the DeepEqual contract, via a deterministic
-// encoding).
+// telemetry event stream (the byte-identical contract), of the Result's
+// values (the DeepEqual contract, via valueDigest) and of the trace
+// manifest's JSON with the build revision cleared (the header a trace
+// reader rebuilds the Result from).
 type hotpathDigest struct {
-	Trace  string `json:"trace_sha256"`
-	Result string `json:"result_sha256"`
+	Trace    string `json:"trace_sha256"`
+	Result   string `json:"result_sha256"`
+	Manifest string `json:"manifest_sha256"`
 }
 
 // hotpathPoint is one golden scenario/backend pair. Packet points cap the
@@ -104,6 +109,12 @@ func hotpathPoints() []hotpathPoint {
 				Seed:              7,
 			})
 		}},
+		// The learned tier at full horizon: a dumbbell, a topology and
+		// its demo scenario. Its traces hold only the manifest and
+		// metrics, so the Result and manifest digests carry the point.
+		{"learned/cluster-fattree", backend.NameLearned, fileScenario("cluster-fattree.json", 0)},
+		{"learned/fourjobs", backend.NameLearned, fileScenario("fourjobs.json", 0)},
+		{"learned/learned-demo", backend.NameLearned, fileScenario("learned-demo.json", 0)},
 	}
 }
 
@@ -119,23 +130,93 @@ func runHotpathPoint(t *testing.T, pt hotpathPoint) (hotpathDigest, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The manifest is omitted on purpose: it embeds the build revision,
-	// which legitimately changes between commits. Events and the metrics
-	// registry are the simulation's observable behaviour.
+	// The manifest is hashed apart from the stream, with the build
+	// revision cleared: the revision legitimately changes between
+	// commits. Events and the metrics registry are the simulation's
+	// observable behaviour.
 	var trace bytes.Buffer
 	if err := telemetry.Write(&trace, nil, buf.Events(), reg); err != nil {
 		t.Fatal(err)
 	}
-	resJSON, err := json.Marshal(res)
+	if rec.Manifest() == nil {
+		t.Fatal("traced run set no manifest")
+	}
+	man := *rec.Manifest()
+	man.Revision = ""
+	manJSON, err := json.Marshal(&man)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tsum := sha256.Sum256(trace.Bytes())
-	rsum := sha256.Sum256(resJSON)
+	msum := sha256.Sum256(manJSON)
 	return hotpathDigest{
-		Trace:  hex.EncodeToString(tsum[:]),
-		Result: hex.EncodeToString(rsum[:]),
+		Trace:    hex.EncodeToString(tsum[:]),
+		Result:   valueDigest(t, res),
+		Manifest: hex.EncodeToString(msum[:]),
 	}, trace.Bytes()
+}
+
+// valueDigest hashes v's values and nothing of its type's names or tags:
+// struct fields in declaration order, pointers followed (a nil pointer
+// and an empty slice are marked apart from zero values), lengths ahead
+// of slice and string contents, floats by their bits. Renaming or
+// tagging a field leaves the digest alone; changing, adding, removing
+// or reordering a value moves it.
+func valueDigest(t *testing.T, v any) string {
+	t.Helper()
+	h := sha256.New()
+	var word [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(word[:], u)
+		h.Write(word[:])
+	}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() {
+				put(0)
+				return
+			}
+			put(1)
+			walk(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice:
+			if v.IsNil() {
+				put(0)
+				return
+			}
+			put(1)
+			fallthrough
+		case reflect.Array:
+			put(uint64(v.Len()))
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.String:
+			put(uint64(v.Len()))
+			h.Write([]byte(v.String()))
+		case reflect.Bool:
+			if v.Bool() {
+				put(1)
+			} else {
+				put(0)
+			}
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			put(uint64(v.Int()))
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			put(v.Uint())
+		case reflect.Float32, reflect.Float64:
+			put(math.Float64bits(v.Float()))
+		default:
+			t.Fatalf("valueDigest: unsupported kind %s", v.Kind())
+		}
+	}
+	walk(reflect.ValueOf(v))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // diagnoseHotpathDivergence narrows a golden-digest mismatch down to an
@@ -191,9 +272,9 @@ func diagnoseHotpathDivergence(t *testing.T, pt hotpathPoint, firstTrace []byte)
 
 // TestHotPathGoldenTraces is the correctness contract for the hot-path
 // overhaul (event heap, pooled events and packets, SoA fluid state):
-// every checked-in scenario must produce a byte-identical telemetry trace
-// and a DeepEqual Result (compared through a deterministic JSON encoding)
-// before and after the refactor. The golden digests were captured from
+// every checked-in scenario must produce a byte-identical telemetry trace,
+// a DeepEqual Result (compared through valueDigest) and the same trace
+// manifest before and after the refactor. The golden digests were captured from
 // the pre-refactor tree; re-blessing them with -update-hotpath is only
 // legitimate for changes that intentionally alter simulation behaviour,
 // never for performance work. On a digest mismatch the point is rerun and
@@ -230,6 +311,9 @@ func TestHotPathGoldenTraces(t *testing.T) {
 			}
 			if d.Result != want.Result {
 				t.Errorf("Result diverged from the pre-refactor golden\n got  %s\n want %s", d.Result, want.Result)
+			}
+			if d.Manifest != want.Manifest {
+				t.Errorf("trace manifest diverged from the pre-refactor golden\n got  %s\n want %s", d.Manifest, want.Manifest)
 			}
 			if t.Failed() {
 				diagnoseHotpathDivergence(t, pt, traceBytes)

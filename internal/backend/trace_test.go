@@ -29,9 +29,14 @@ func traceScenario() *config.Scenario {
 // full trace.
 func runTraced(t testing.TB, b Backend, seed uint64) (*Result, []byte) {
 	t.Helper()
+	return runTracedScenario(t, b, traceScenario(), seed)
+}
+
+func runTracedScenario(t testing.TB, b Backend, scn *config.Scenario, seed uint64) (*Result, []byte) {
+	t.Helper()
 	rec, buf, reg := telemetry.NewBuffered(telemetry.Options{})
 	ctx := telemetry.WithRecorder(context.Background(), rec)
-	res, err := b.Run(ctx, traceScenario(), seed)
+	res, err := b.Run(ctx, scn, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +131,29 @@ func TestTracingDoesNotPerturbResult(t *testing.T) {
 	}
 }
 
-// TestScoresRecomputableFromTrace decodes the serialized trace and checks
-// that ResultFromTrace reproduces the run's interleaving scores exactly —
-// the acceptance property behind cmd/mltcp-trace.
+// TestScoresRecomputableFromTrace decodes the serialized trace of each
+// tier's run and checks that ResultFromTrace reproduces what the run
+// reported: the whole Result header, the cluster header, every job's
+// labels and, for the simulating tiers, the interleaving scores, the
+// pairwise cluster scores and the phase timelines exactly — the
+// acceptance property behind cmd/mltcp-trace. The learned tier's trace
+// carries no iteration events (its manifest is marked predicted), so
+// only its header and labels are rebuilt.
 func TestScoresRecomputableFromTrace(t *testing.T) {
-	for _, b := range backendsUnderTest() {
-		t.Run(b.Name(), func(t *testing.T) {
-			res, raw := runTraced(t, b, 1)
+	cases := []struct {
+		name string
+		b    Backend
+		scn  *config.Scenario
+	}{
+		{"fluid", &Fluid{}, traceScenario()},
+		{"packet", &Packet{}, traceScenario()},
+		{"learned", &Learned{}, traceScenario()},
+		{"fluid/topology", &Fluid{}, clusterScenario()},
+		{"learned/topology", &Learned{}, clusterScenario()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, raw := runTracedScenario(t, tc.b, tc.scn, 1)
 			tr, err := telemetry.Read(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
@@ -140,6 +161,38 @@ func TestScoresRecomputableFromTrace(t *testing.T) {
 			got, err := ResultFromTrace(tr.Manifest, tr.Events)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got.Backend != res.Backend || got.Scenario != res.Scenario || got.Policy != res.Policy ||
+				got.Capacity != res.Capacity || got.Scale != res.Scale || got.Duration != res.Duration {
+				t.Errorf("header from trace = %q %q %q %v %v %v, run reported %q %q %q %v %v %v",
+					got.Backend, got.Scenario, got.Policy, got.Capacity, got.Scale, got.Duration,
+					res.Backend, res.Scenario, res.Policy, res.Capacity, res.Scale, res.Duration)
+			}
+			if (got.Cluster == nil) != (res.Cluster == nil) {
+				t.Fatalf("cluster from trace = %+v, run reported %+v", got.Cluster, res.Cluster)
+			}
+			if c, w := got.Cluster, res.Cluster; c != nil &&
+				(c.Topology != w.Topology || c.Racks != w.Racks || c.Links != w.Links) {
+				t.Errorf("cluster header from trace = %+v, run reported %+v", c, w)
+			}
+			if len(got.Jobs) != len(res.Jobs) {
+				t.Fatalf("job count %d, want %d", len(got.Jobs), len(res.Jobs))
+			}
+			for i := range got.Jobs {
+				g, w := &got.Jobs[i], &res.Jobs[i]
+				if g.Name != w.Name || g.Profile != w.Profile || g.Ideal != w.Ideal ||
+					g.BytesPerIter != w.BytesPerIter || g.SrcRack != w.SrcRack || g.DstRack != w.DstRack ||
+					!reflect.DeepEqual(g.PathLinks, w.PathLinks) {
+					t.Errorf("job %d labels from trace = %q %q %v %d %q %q %v, run reported %q %q %v %d %q %q %v", i,
+						g.Name, g.Profile, g.Ideal, g.BytesPerIter, g.SrcRack, g.DstRack, g.PathLinks,
+						w.Name, w.Profile, w.Ideal, w.BytesPerIter, w.SrcRack, w.DstRack, w.PathLinks)
+				}
+			}
+			if tr.Manifest.Predicted != (res.Backend == NameLearned) {
+				t.Errorf("manifest predicted = %v on the %s tier", tr.Manifest.Predicted, res.Backend)
+			}
+			if tr.Manifest.Predicted {
+				return
 			}
 			if got.InterleavedAt != res.InterleavedAt {
 				t.Errorf("InterleavedAt from trace = %d, run reported %d",
@@ -149,8 +202,8 @@ func TestScoresRecomputableFromTrace(t *testing.T) {
 				t.Errorf("OverlapScore from trace = %v, run reported %v",
 					got.OverlapScore, res.OverlapScore)
 			}
-			if len(got.Jobs) != len(res.Jobs) {
-				t.Fatalf("job count %d, want %d", len(got.Jobs), len(res.Jobs))
+			if !reflect.DeepEqual(got.Cluster, res.Cluster) {
+				t.Errorf("cluster scores from trace:\n got  %+v\n want %+v", got.Cluster, res.Cluster)
 			}
 			for i := range got.Jobs {
 				if !reflect.DeepEqual(got.Jobs[i].CommStarts, res.Jobs[i].CommStarts) {
@@ -161,6 +214,9 @@ func TestScoresRecomputableFromTrace(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.Jobs[i].IterTimes, res.Jobs[i].IterTimes) {
 					t.Errorf("job %d IterTimes diverge", i)
+				}
+				if !reflect.DeepEqual(got.Jobs[i].FCTs, res.Jobs[i].FCTs) {
+					t.Errorf("job %d FCTs diverge", i)
 				}
 			}
 		})
