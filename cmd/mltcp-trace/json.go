@@ -19,17 +19,17 @@ const quarters = 4
 
 // summary is the -json document. Durations are integer nanoseconds.
 type summary struct {
-	Kind             string              `json:"kind"`
-	Schema           int                 `json:"schema"`
-	Manifest         *telemetry.Manifest `json:"manifest"`
-	Events           int                 `json:"events"`
-	DroppedByLimiter int64               `json:"dropped_by_limiter"`
-	InterleavedAt    int                 `json:"interleaved_at"`
-	Overlap          float64             `json:"overlap"`
-	Jobs             []jobSummary        `json:"jobs"`
-	OverlapQuarters  [quarters]float64   `json:"overlap_quarters"`
-	Cluster          *clusterSummary     `json:"cluster,omitempty"`
-	Metrics          *telemetry.Snapshot `json:"metrics,omitempty"`
+	Kind             string                 `json:"kind"`
+	Schema           int                    `json:"schema"`
+	Manifest         *telemetry.Manifest    `json:"manifest"`
+	Events           int                    `json:"events"`
+	DroppedByLimiter int64                  `json:"dropped_by_limiter"`
+	InterleavedAt    int                    `json:"interleaved_at"`
+	Overlap          float64                `json:"overlap"`
+	Jobs             []jobSummary           `json:"jobs"`
+	OverlapQuarters  [quarters]float64      `json:"overlap_quarters"`
+	Cluster          *backend.ClusterResult `json:"cluster,omitempty"`
+	Metrics          *telemetry.Snapshot    `json:"metrics,omitempty"`
 }
 
 type jobSummary struct {
@@ -43,19 +43,6 @@ type jobSummary struct {
 	// congestion is nil, and its keys absent, for flows that emitted no
 	// congestion events.
 	*congestion
-}
-
-// clusterSummary is backend.ClusterResult with json tags (it converts
-// field for field). Tagging the backend type itself would change how a
-// whole backend.Result encodes.
-type clusterSummary struct {
-	Topology        string  `json:"topology"`
-	Racks           int     `json:"racks"`
-	Links           int     `json:"links"`
-	SharingPairs    int     `json:"sharing_pairs"`
-	DisjointPairs   int     `json:"disjoint_pairs"`
-	SharedOverlap   float64 `json:"shared_overlap"`
-	DisjointOverlap float64 `json:"disjoint_overlap"`
 }
 
 type congestion struct {
@@ -79,6 +66,7 @@ func writeJSON(w io.Writer, tr *telemetry.Trace, res *backend.Result, skip int) 
 		InterleavedAt: res.InterleavedAt,
 		Overlap:       res.OverlapScore,
 		Jobs:          make([]jobSummary, len(res.Jobs)),
+		Cluster:       res.Cluster,
 		Metrics:       tr.Metrics,
 	}
 	// The recorder's sampling-limiter drop count is flushed into the
@@ -117,11 +105,6 @@ func writeJSON(w io.Writer, tr *telemetry.Trace, res *backend.Result, skip int) 
 	for q := range doc.OverlapQuarters {
 		from, until := res.Duration*sim.Time(q)/quarters, res.Duration*sim.Time(q+1)/quarters
 		doc.OverlapQuarters[q] = backend.OverlapScoreOf(res.Jobs, from, until)
-	}
-
-	if c := res.Cluster; c != nil {
-		cs := clusterSummary(*c)
-		doc.Cluster = &cs
 	}
 
 	b, err := json.Marshal(doc)

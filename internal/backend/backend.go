@@ -1,11 +1,14 @@
-// Package backend runs a config.Scenario at a chosen simulation fidelity
-// behind one interface. The fluid backend integrates the flow-level model
-// (internal/fluid); the packet backend compiles the same scenario into a
+// Package backend runs a config.Scenario at a chosen fidelity behind one
+// interface. The fluid backend integrates the flow-level model
+// (internal/fluid); the packet backend renders the same scenario as a
 // dumbbell topology with full TCP senders (internal/netsim + internal/tcp
-// + internal/core). Both return the same Result shape, so every layer
+// + internal/core); the learned backend predicts the outcome with the
+// trained model (internal/learn). All three compile the scenario through
+// one step (compile: normalization, job expansion, placement, seeds and
+// the Result skeleton) and return the same Result shape, so every layer
 // above — experiment sweeps, harness replication, the CLI — is fidelity
 // agnostic, and cross-fidelity agreement on a shared scenario becomes a
-// checkable property instead of a hand-maintained pair of code paths.
+// checkable property instead of a hand-maintained set of code paths.
 //
 // Run is a pure function of (scenario, seed): two calls with equal
 // arguments return DeepEqual results on any goroutine, which is what lets
@@ -27,7 +30,7 @@ import (
 
 // Backend runs one scenario at one fidelity.
 type Backend interface {
-	// Name identifies the fidelity ("fluid", "packet").
+	// Name identifies the fidelity ("fluid", "packet", "learned").
 	Name() string
 	// Run simulates the scenario to its horizon. seed feeds every noise
 	// stream in the run (each job derives a private stream from it), so
@@ -37,13 +40,13 @@ type Backend interface {
 	Run(ctx context.Context, scn *config.Scenario, seed uint64) (*Result, error)
 }
 
-// JobResult is one job's outcome, common to both fidelities.
+// JobResult is one job's outcome, common to every fidelity.
 type JobResult struct {
 	// Name labels the job; Profile names its model shape.
 	Name    string
 	Profile string
-	// Ideal is the isolated iteration time at the backend's scale (both
-	// backends preserve the unscaled value by construction).
+	// Ideal is the isolated iteration time at the backend's scale (every
+	// tier preserves the unscaled value by construction).
 	Ideal sim.Time
 	// BytesPerIter is the configured per-iteration communication volume
 	// at the backend's native scale (multiply by 1/Result.Scale for
@@ -67,7 +70,8 @@ type JobResult struct {
 	// analogue, the weight F(bytes_ratio), is a pure function of
 	// progress.
 	CwndTrace []float64
-	// FinalCwnd is the last window sample (0 for the fluid backend).
+	// FinalCwnd is the last window sample (0 for the fluid and learned
+	// backends).
 	FinalCwnd float64
 	// Bandwidth is the job's delivered rate in bits/second per trace
 	// bucket. Fluid backend with TraceBucket set only.
@@ -120,7 +124,8 @@ type Result struct {
 	Scenario string
 	Policy   string
 	// Capacity is the bottleneck rate at the backend's native scale;
-	// Scale is the factor applied to the scenario (1 for fluid).
+	// Scale is the factor applied to the scenario (1 for fluid and
+	// learned).
 	Capacity units.Rate
 	Scale    float64
 	// Duration is the simulated horizon.
@@ -149,17 +154,17 @@ type Result struct {
 type ClusterResult struct {
 	// Topology labels the fabric ("fattree-4"); Racks and Links are its
 	// rack and directed-link counts.
-	Topology string
-	Racks    int
-	Links    int
+	Topology string `json:"topology"`
+	Racks    int    `json:"racks"`
+	Links    int    `json:"links"`
 	// SharingPairs and DisjointPairs count job pairs that do and do not
 	// cross at least one common fabric link.
-	SharingPairs  int
-	DisjointPairs int
+	SharingPairs  int `json:"sharing_pairs"`
+	DisjointPairs int `json:"disjoint_pairs"`
 	// SharedOverlap and DisjointOverlap average the pairwise overlap
 	// score (second half of the horizon) over each class.
-	SharedOverlap   float64
-	DisjointOverlap float64
+	SharedOverlap   float64 `json:"shared_overlap"`
+	DisjointOverlap float64 `json:"disjoint_overlap"`
 }
 
 // InterleaveTol is the per-iteration tolerance (relative to ideal) used
@@ -167,9 +172,12 @@ type ClusterResult struct {
 // throughout the experiments.
 const InterleaveTol = 0.08
 
-// interleavedAt returns the first iteration from which every job's
-// iteration times stay within tol of its own ideal, -1 if never.
-func interleavedAt(jobs []JobResult, tol float64) int {
+// InterleavedAtOf returns the first iteration index from which every
+// job's remaining iteration times stay within tol of its own ideal (-1 if
+// never). Result.InterleavedAt is its value at InterleaveTol; callers that
+// need another tolerance (the paper figures in internal/experiments use
+// 5%) reuse the same arithmetic.
+func InterleavedAtOf(jobs []JobResult, tol float64) int {
 	maxIter := 0
 	for _, j := range jobs {
 		if len(j.IterTimes) > maxIter {
@@ -197,11 +205,12 @@ func interleavedAt(jobs []JobResult, tol float64) int {
 	return -1
 }
 
-// overlapScore sweeps the jobs' communication intervals clipped to
+// OverlapScoreOf sweeps the jobs' communication intervals clipped to
 // [from, until) and returns ∫ max(k-1,0) dt / ∫ k dt, where k(t) is the
-// number of jobs communicating at t. Phases without a recorded end are
+// number of jobs communicating at t; Result.OverlapScore is its value
+// over the second half of the horizon. Phases without a recorded end are
 // treated as extending to `until`.
-func overlapScore(jobs []JobResult, from, until sim.Time) float64 {
+func OverlapScoreOf(jobs []JobResult, from, until sim.Time) float64 {
 	var edges []commEdge
 	var stack [64]edgeRun // runs for up to 64 jobs without a heap allocation
 	runs := stack[:0]
@@ -307,8 +316,8 @@ func sweepOverlap(edges []commEdge, runs []edgeRun) float64 {
 
 // finishResult fills the derived fields every backend shares.
 func finishResult(r *Result) {
-	r.InterleavedAt = interleavedAt(r.Jobs, InterleaveTol)
-	r.OverlapScore = overlapScore(r.Jobs, r.Duration/2, r.Duration)
+	r.InterleavedAt = InterleavedAtOf(r.Jobs, InterleaveTol)
+	r.OverlapScore = OverlapScoreOf(r.Jobs, r.Duration/2, r.Duration)
 	finishCluster(r)
 }
 
@@ -342,7 +351,7 @@ func finishCluster(r *Result) {
 					break
 				}
 			}
-			// The same runs overlapScore sweeps for the pair, so the
+			// The same runs OverlapScoreOf sweeps for the pair, so the
 			// score is the same float.
 			edges = appendCommEdges(edges[:n], &r.Jobs[k], from, until)
 			pair := [2]edgeRun{{0, n}, {n, len(edges)}}

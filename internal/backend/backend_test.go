@@ -221,14 +221,14 @@ func TestOverlapScore(t *testing.T) {
 		{CommStarts: []sim.Time{sec(0)}, CommEnds: []sim.Time{sec(1)}},
 		{CommStarts: []sim.Time{sec(1)}, CommEnds: []sim.Time{sec(2)}},
 	}
-	if got := overlapScore(disjoint, 0, sec(2)); got != 0 {
+	if got := OverlapScoreOf(disjoint, 0, sec(2)); got != 0 {
 		t.Errorf("disjoint phases: score %.3f, want 0", got)
 	}
 	identical := []JobResult{
 		{CommStarts: []sim.Time{sec(0)}, CommEnds: []sim.Time{sec(2)}},
 		{CommStarts: []sim.Time{sec(0)}, CommEnds: []sim.Time{sec(2)}},
 	}
-	if got := overlapScore(identical, 0, sec(2)); got < 0.49 || got > 0.51 {
+	if got := OverlapScoreOf(identical, 0, sec(2)); got < 0.49 || got > 0.51 {
 		t.Errorf("fully overlapping pair: score %.3f, want 0.5", got)
 	}
 	// An unfinished phase extends to the window end.
@@ -236,10 +236,10 @@ func TestOverlapScore(t *testing.T) {
 		{CommStarts: []sim.Time{sec(0)}, CommEnds: nil},
 		{CommStarts: []sim.Time{sec(0)}, CommEnds: nil},
 	}
-	if got := overlapScore(openEnded, 0, sec(1)); got < 0.49 || got > 0.51 {
+	if got := OverlapScoreOf(openEnded, 0, sec(1)); got < 0.49 || got > 0.51 {
 		t.Errorf("open-ended pair: score %.3f, want 0.5", got)
 	}
-	if got := overlapScore(nil, 0, sec(1)); got != 0 {
+	if got := OverlapScoreOf(nil, 0, sec(1)); got != 0 {
 		t.Errorf("no jobs: score %.3f, want 0", got)
 	}
 }

@@ -79,45 +79,6 @@ func TestClusterFluidRun(t *testing.T) {
 	}
 }
 
-// TestClusterScoresRecomputableFromTrace pins the cluster analogue of the
-// trace contract: ResultFromTrace rebuilds placement, paths, and the
-// pairwise cluster scores exactly from the manifest and events.
-func TestClusterScoresRecomputableFromTrace(t *testing.T) {
-	scn := clusterScenario()
-	rec, buf, reg := telemetry.NewBuffered(telemetry.Options{})
-	ctx := telemetry.WithRecorder(context.Background(), rec)
-	res, err := (&Fluid{}).Run(ctx, scn, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := telemetry.Write(&out, rec.Manifest(), buf.Events(), reg); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := telemetry.Read(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ResultFromTrace(tr.Manifest, tr.Events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Cluster, res.Cluster) {
-		t.Errorf("cluster scores from trace:\n got  %+v\n want %+v", got.Cluster, res.Cluster)
-	}
-	for i := range got.Jobs {
-		if !reflect.DeepEqual(got.Jobs[i].PathLinks, res.Jobs[i].PathLinks) {
-			t.Errorf("job %d path links diverge", i)
-		}
-		if got.Jobs[i].SrcRack != res.Jobs[i].SrcRack || got.Jobs[i].DstRack != res.Jobs[i].DstRack {
-			t.Errorf("job %d placement diverges", i)
-		}
-		if got.Jobs[i].Ideal != res.Jobs[i].Ideal {
-			t.Errorf("job %d ideal diverges: %v vs %v", i, got.Jobs[i].Ideal, res.Jobs[i].Ideal)
-		}
-	}
-}
-
 // TestClusterExampleScenario exercises the checked-in cluster example:
 // it loads and validates, runs on the fluid backend, and reports a
 // populated cluster summary with its explicit placements intact.

@@ -9,10 +9,7 @@ import (
 	"mltcp/internal/config"
 	"mltcp/internal/learn"
 	"mltcp/internal/obs"
-	"mltcp/internal/place"
 	"mltcp/internal/sim"
-	"mltcp/internal/telemetry"
-	"mltcp/internal/units"
 	"mltcp/internal/workload"
 )
 
@@ -62,22 +59,11 @@ func (b *Learned) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*
 	if slowdownHead == nil {
 		return nil, fmt.Errorf("backend: learned model has no %q head", learn.HeadSlowdown)
 	}
-	s := *scn
-	if err := s.Normalize(); err != nil {
+	c, err := compile(ctx, scn, b.Name(), seed, nil)
+	if err != nil {
 		return nil, err
 	}
-	specs := s.Specs()
-	var offsets []sim.Time
-	if s.Centralized() {
-		offsets = centralOffsets(specs, s.Capacity(), seed)
-	}
-	pc := place.Compile(&s, specs, seed)
-	if offsets != nil {
-		for i := range specs {
-			specs[i].StartOffset = offsets[i]
-		}
-	}
-	f := learn.Extract(&s, specs, pc)
+	f := learn.Extract(&c.s, c.specs, c.pc)
 
 	span := obs.FromContext(ctx).StartRun(b.Name())
 	// The scenario vector feeds every head: hash its names once.
@@ -85,41 +71,27 @@ func (b *Learned) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*
 	base := make([]float64, learn.Dim)
 	hv.AddTo(base)
 	predictions := uint64(0)
-	horizon := s.Duration()
+	res := c.res
+	horizon := res.Duration
 
-	res := &Result{
-		Backend:  b.Name(),
-		Scenario: s.Name,
-		Policy:   s.Policy,
-		Capacity: s.Capacity(),
-		Scale:    1,
-		Duration: horizon,
-	}
-	res.Jobs = make([]JobResult, 0, len(specs))
 	var ev *learn.JobEval
-	if len(specs) > 0 {
+	if len(c.specs) > 0 {
 		var layout *learn.JobLayout
-		if v, ok := b.layouts.Load(s.Policy); ok {
+		if v, ok := b.layouts.Load(res.Policy); ok {
 			layout = v.(*learn.JobLayout)
 		} else {
 			layout = learn.NewJobLayout(slowdownHead, f.Jobs[0])
-			b.layouts.Store(s.Policy, layout)
+			b.layouts.Store(res.Policy, layout)
 		}
 		ev = layout.EvalHashed(base, hv)
 	}
-	for i, spec := range specs {
+	for i, spec := range c.specs {
 		shat := ev.Predict(f.Jobs[i])
 		predictions++
 		if shat < 1 {
 			shat = 1
 		}
-		res.Jobs = append(res.Jobs, synthesizeJob(spec, pc.IdealCap(i, s.Capacity()), shat, horizon))
-		if pc != nil {
-			jr := &res.Jobs[len(res.Jobs)-1]
-			jr.SrcRack = config.RackName(pc.Placements[i].SrcRack)
-			jr.DstRack = config.RackName(pc.Placements[i].DstRack)
-			jr.PathLinks = pc.PathNames[i]
-		}
+		synthesizeJob(&res.Jobs[i], spec, shat, horizon)
 	}
 
 	// Convergence diagnostics from the scenario-level heads. The synthetic
@@ -150,13 +122,8 @@ func (b *Learned) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*
 		res.OverlapScore = clamp01(h.PredictHashed(base, hv))
 		predictions++
 	}
-	if pc != nil {
-		res.Cluster = &ClusterResult{
-			Topology: pc.Fab.Kind,
-			Racks:    pc.Fab.Racks(),
-			Links:    len(pc.Fab.Links()),
-		}
-		countClusterPairs(res, pc.Paths)
+	if res.Cluster != nil {
+		countClusterPairs(res, c.pc.Paths)
 		if h := m.Head(learn.HeadSharedOverlap); h != nil && res.Cluster.SharingPairs > 0 {
 			res.Cluster.SharedOverlap = clamp01(h.PredictHashed(base, hv))
 			predictions++
@@ -167,56 +134,22 @@ func (b *Learned) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*
 		}
 	}
 	span.Finish(predictions, horizon)
-
-	rec := telemetry.FromContext(ctx)
-	if rec.Enabled() {
-		mjobs := make([]telemetry.ManifestJob, len(specs))
-		for i, spec := range specs {
-			mjobs[i] = telemetry.ManifestJob{
-				Flow:         i + 1,
-				Name:         spec.Label(),
-				Profile:      spec.Profile.Name,
-				IdealNS:      int64(spec.Profile.IdealIterTime(pc.IdealCap(i, s.Capacity()))),
-				BytesPerIter: int64(spec.Profile.CommBytes),
-			}
-			if pc != nil {
-				mjobs[i].SrcRack = config.RackName(pc.Placements[i].SrcRack)
-				mjobs[i].DstRack = config.RackName(pc.Placements[i].DstRack)
-				mjobs[i].Links = pc.PathNames[i]
-			}
-		}
-		man := newManifest(&s, b.Name(), seed, s.Capacity(), 1, mjobs)
-		man.Predicted = true
-		if pc != nil {
-			man.Topology = pc.Fab.Kind
-			man.Racks = pc.Fab.Racks()
-			man.FabricLinks = len(pc.Fab.Links())
-		}
-		rec.SetManifest(man)
-	}
 	return res, nil
 }
 
-// synthesizeJob renders one job's predicted timeline: iterations of
-// uniform duration shat×ideal (never faster than ideal), communication
-// phases of iter−compute, truncated at the horizon and the job's
-// iteration budget, with a trailing in-flight phase when the horizon cuts
-// an iteration mid-communication.
-func synthesizeJob(spec workload.Spec, capI units.Rate, shat float64, horizon sim.Time) JobResult {
-	ideal := spec.Profile.IdealIterTime(capI)
-	iter := ideal.Scale(shat)
-	if iter < ideal {
-		iter = ideal
+// synthesizeJob fills one job's predicted timeline into its skeleton jr:
+// iterations of uniform duration shat×ideal (never faster than ideal),
+// communication phases of iter−compute, truncated at the horizon and the
+// job's iteration budget, with a trailing in-flight phase when the
+// horizon cuts an iteration mid-communication.
+func synthesizeJob(jr *JobResult, spec workload.Spec, shat float64, horizon sim.Time) {
+	iter := jr.Ideal.Scale(shat)
+	if iter < jr.Ideal {
+		iter = jr.Ideal
 	}
 	compute := spec.Profile.ComputeTime
 	comm := iter - compute
-	bytes := int64(spec.Profile.CommBytes)
-	jr := JobResult{
-		Name:         spec.Label(),
-		Profile:      spec.Profile.Name,
-		Ideal:        ideal,
-		BytesPerIter: bytes,
-	}
+	bytes := jr.BytesPerIter
 	budget := spec.MaxIterations
 	// The timeline is uniform, so phase counts follow from arithmetic:
 	// phase k communicates over [first+k·iter, first+k·iter+comm]. nFull
@@ -273,7 +206,6 @@ func synthesizeJob(spec workload.Spec, capI units.Rate, shat float64, horizon si
 		}
 		jr.IterTimes = it
 	}
-	return jr
 }
 
 // countClusterPairs fills SharingPairs/DisjointPairs from the jobs'

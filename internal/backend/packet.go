@@ -12,7 +12,6 @@ import (
 	"mltcp/internal/sim"
 	"mltcp/internal/tcp"
 	"mltcp/internal/telemetry"
-	"mltcp/internal/units"
 )
 
 // Packet runs scenarios on the packet-level stack: a dumbbell topology
@@ -52,37 +51,35 @@ type pktJob struct {
 
 // Run implements Backend.
 func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*Result, error) {
-	s := *scn
-	if err := s.Normalize(); err != nil {
+	var base string
+	var ml bool
+	c, err := compile(ctx, scn, b.Name(), seed, func(s config.Scenario) (float64, error) {
+		var ok bool
+		base, ml, ok = s.CC()
+		if !ok && !s.Centralized() {
+			return 0, fmt.Errorf("backend: packet level does not implement policy %q; supported: %s, and centralized (%s are fluid-only)",
+				s.Policy, strings.Join(config.CCPolicyNames(), ", "),
+				strings.Join(config.FluidOnlyPolicyNames(), ", "))
+		}
+		if s.Topology != nil {
+			return 0, fmt.Errorf("backend: packet level renders only the dumbbell; run topology %q on the %s backend",
+				s.Topology.Label(), NameFluid)
+		}
+		if s.Centralized() {
+			base, ml = "reno", false // the optimizer schedules; transport is plain TCP
+		}
+		return s.Scale(), nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	base, ml, ok := s.CC()
-	if !ok && !s.Centralized() {
-		return nil, fmt.Errorf("backend: packet level does not implement policy %q; supported: %s, and centralized (%s are fluid-only)",
-			s.Policy, strings.Join(config.CCPolicyNames(), ", "),
-			strings.Join(config.FluidOnlyPolicyNames(), ", "))
-	}
-	if s.Topology != nil {
-		return nil, fmt.Errorf("backend: packet level renders only the dumbbell; run topology %q on the %s backend",
-			s.Topology.Label(), NameFluid)
-	}
-	if s.Centralized() {
-		base, ml = "reno", false // the optimizer schedules; transport is plain TCP
-	}
+	res := c.res
 
-	scale := s.Scale()
-	specs := s.Specs()
-	var offsets []sim.Time
-	if s.Centralized() {
-		offsets = centralOffsets(specs, s.Capacity(), seed)
-	}
-
-	bottleneck := units.Rate(float64(s.Capacity()) * scale)
 	eng := sim.New()
 	cfg := netsim.DumbbellConfig{
-		HostPairs:       len(specs),
-		HostRate:        bottleneck * hostRateFactor,
-		BottleneckRate:  bottleneck,
+		HostPairs:       len(c.specs),
+		HostRate:        res.Capacity * hostRateFactor,
+		BottleneckRate:  res.Capacity,
 		HostDelay:       hostDelay,
 		BottleneckDelay: bottleneckDelay,
 	}
@@ -96,7 +93,7 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 	}
 	net := netsim.NewDumbbell(eng, cfg)
 
-	horizon := s.Duration()
+	horizon := res.Duration
 	rec := telemetry.FromContext(ctx)
 	var bwMon *netsim.BandwidthMonitor
 	if rec.Enabled() {
@@ -105,14 +102,14 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 		bwMon = netsim.NewBandwidthMonitor(net.Forward, telemetry.DefaultSampleEvery)
 	}
 
-	jobs := make([]*pktJob, len(specs))
-	for i, spec := range specs {
-		bytes := int64(float64(spec.Profile.CommBytes) * scale)
+	jobs := make([]*pktJob, len(c.specs))
+	for i, spec := range c.specs {
+		bytes := res.Jobs[i].BytesPerIter
 		if bytes < 1 {
 			return nil, fmt.Errorf("backend: job %s: comm volume %v at packet scale %v rounds to zero bytes",
-				spec.Label(), spec.Profile.CommBytes, scale)
+				spec.Label(), spec.Profile.CommBytes, res.Scale)
 		}
-		cc, err := buildCC(base, ml, s.Agg(), bytes, spec.Profile.ComputeTime)
+		cc, err := buildCC(base, ml, c.s.Agg(), bytes, spec.Profile.ComputeTime)
 		if err != nil {
 			return nil, err
 		}
@@ -126,31 +123,13 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 			Bytes:    bytes,
 			Compute:  spec.Profile.ComputeTime,
 			Noise:    spec.NoiseStd,
-			RNG:      sim.NewRNG(jobSeed(seed, spec)),
+			RNG:      sim.NewRNG(spec.Seed),
 			MaxIters: spec.MaxIterations,
 			Rec:      rec,
 			Flow:     i + 1,
 		}}
 		jobs[i].trace = tcp.SampleCwnd(f.Sender, cwndSampleEvery)
-		off := spec.StartOffset
-		if offsets != nil {
-			off = offsets[i]
-		}
-		jobs[i].Start(eng, off)
-	}
-
-	if rec.Enabled() {
-		mjobs := make([]telemetry.ManifestJob, len(specs))
-		for i, spec := range specs {
-			mjobs[i] = telemetry.ManifestJob{
-				Flow:         i + 1,
-				Name:         spec.Label(),
-				Profile:      spec.Profile.Name,
-				IdealNS:      int64(spec.Profile.ComputeTime + bottleneck.TransmissionTime(jobs[i].Bytes)),
-				BytesPerIter: jobs[i].Bytes,
-			}
-		}
-		rec.SetManifest(newManifest(&s, b.Name(), seed, bottleneck, scale, mjobs))
+		jobs[i].Start(eng, spec.StartOffset)
 	}
 
 	// Self-metrics are out-of-band: the span reads the engine and the
@@ -158,11 +137,11 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 	// with or without a collector (pinned by obs_test.go).
 	span := obs.FromContext(ctx).StartRun(b.Name())
 	const chunks = 8
-	for c := sim.Time(1); c <= chunks; c++ {
+	for k := sim.Time(1); k <= chunks; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("backend: packet run aborted: %w", err)
 		}
-		eng.RunUntil(horizon * c / chunks)
+		eng.RunUntil(horizon * k / chunks)
 		span.Heartbeat(eng.Pending())
 	}
 	if bwMon != nil {
@@ -170,28 +149,12 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 	}
 	span.Finish(eng.Fired(), horizon)
 
-	res := &Result{
-		Backend:  b.Name(),
-		Scenario: s.Name,
-		Policy:   s.Policy,
-		Capacity: bottleneck,
-		Scale:    scale,
-		Duration: horizon,
-	}
 	for i, j := range jobs {
-		spec := specs[i]
-		jr := JobResult{
-			Name:    spec.Label(),
-			Profile: spec.Profile.Name,
-			// Packet scaling preserves the unscaled ideal: bytes×scale
-			// over capacity×scale plus the unscaled compute phase.
-			Ideal:          spec.Profile.ComputeTime + bottleneck.TransmissionTime(j.Bytes),
-			BytesPerIter:   j.Bytes,
-			DeliveredBytes: j.Sender.TotalBytesAcked(),
-			CommStarts:     j.Starts,
-			CommEnds:       j.Ends,
-			IterTimes:      j.IterTimes(),
-		}
+		jr := &res.Jobs[i]
+		jr.DeliveredBytes = j.Sender.TotalBytesAcked()
+		jr.CommStarts = j.Starts
+		jr.CommEnds = j.Ends
+		jr.IterTimes = j.IterTimes()
 		for k := range j.Ends {
 			jr.FCTs = append(jr.FCTs, j.Ends[k]-j.Starts[k])
 		}
@@ -199,7 +162,6 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 		if n := len(jr.CwndTrace); n > 0 {
 			jr.FinalCwnd = jr.CwndTrace[n-1]
 		}
-		res.Jobs = append(res.Jobs, jr)
 	}
 	finishResult(res)
 	return res, nil
@@ -240,4 +202,5 @@ func buildCC(base string, ml bool, agg *core.AggFunc, totalBytes int64, compute 
 var (
 	_ Backend = (*Fluid)(nil)
 	_ Backend = (*Packet)(nil)
+	_ Backend = (*Learned)(nil)
 )

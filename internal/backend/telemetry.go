@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"mltcp/internal/config"
 	"mltcp/internal/sim"
 	"mltcp/internal/telemetry"
 	"mltcp/internal/units"
@@ -36,38 +35,41 @@ func New(name string) (Backend, error) {
 		name, strings.Join(Names(), ", "))
 }
 
-// InterleavedAtOf is the exported form of the InterleavedAt computation:
-// the first iteration index from which every job's remaining iteration
-// times stay within tol of its own ideal (-1 if never). Exported so
-// callers that need a tolerance other than InterleaveTol (the paper
-// figures in internal/experiments use 5%) reuse the backend's exact
-// arithmetic.
-func InterleavedAtOf(jobs []JobResult, tol float64) int {
-	return interleavedAt(jobs, tol)
-}
-
-// OverlapScoreOf is the exported form of the OverlapScore computation over
-// [from, until).
-func OverlapScoreOf(jobs []JobResult, from, until sim.Time) float64 {
-	return overlapScore(jobs, from, until)
-}
-
-// newManifest renders the run's identity for the trace header. Flow IDs
-// are 1-based scenario positions in both backends.
-func newManifest(s *config.Scenario, backendName string, seed uint64,
-	capacity units.Rate, scale float64, jobs []telemetry.ManifestJob) *telemetry.Manifest {
-	return &telemetry.Manifest{
+// manifestOf renders a Result's header and job labels as the trace
+// manifest, the inverse of ResultFromTrace's header code. Flow IDs are
+// 1-based job positions on every tier; a learned run's manifest is marked
+// predicted.
+func manifestOf(r *Result, seed uint64) *telemetry.Manifest {
+	m := &telemetry.Manifest{
 		Schema:       telemetry.SchemaVersion,
-		Scenario:     s.Name,
-		Backend:      backendName,
-		Policy:       s.Policy,
+		Scenario:     r.Scenario,
+		Backend:      r.Backend,
+		Policy:       r.Policy,
 		Seed:         seed,
-		CapacityGbps: float64(capacity) / 1e9,
-		Scale:        scale,
-		DurationNS:   int64(s.Duration()),
+		CapacityGbps: float64(r.Capacity) / 1e9,
+		Scale:        r.Scale,
+		DurationNS:   int64(r.Duration),
 		Revision:     telemetry.Revision(),
-		Jobs:         jobs,
+		Predicted:    r.Backend == NameLearned,
+		Jobs:         make([]telemetry.ManifestJob, len(r.Jobs)),
 	}
+	if c := r.Cluster; c != nil {
+		m.Topology, m.Racks, m.FabricLinks = c.Topology, c.Racks, c.Links
+	}
+	for i := range r.Jobs {
+		j := &r.Jobs[i]
+		m.Jobs[i] = telemetry.ManifestJob{
+			Flow:         i + 1,
+			Name:         j.Name,
+			Profile:      j.Profile,
+			IdealNS:      int64(j.Ideal),
+			BytesPerIter: j.BytesPerIter,
+			SrcRack:      j.SrcRack,
+			DstRack:      j.DstRack,
+			Links:        j.PathLinks,
+		}
+	}
+	return m
 }
 
 // ResultFromTrace reconstructs a Result's job timelines and interleaving

@@ -115,7 +115,6 @@ type Sender struct {
 
 	srtt, rttvar, rto sim.Time
 	rtoTimer          *sim.Timer
-	backoff           uint
 
 	lastActivity sim.Time
 	iterStart    int64 // first byte of the current Write batch
@@ -373,7 +372,6 @@ func (s *Sender) processAdvance(now sim.Time, p *netsim.Packet) {
 	}
 	s.cfg.Trace.CwndUpdate(now, int(s.flow), s.cwnd, s.ssthresh, s.srtt)
 
-	s.backoff = 0
 	if s.sndUna == s.appLimit {
 		s.rtoTimer.Stop()
 		s.lastActivity = now
@@ -429,9 +427,6 @@ func (s *Sender) onRTO(e *sim.Engine) {
 	s.cc.OnTimeout(s, now)
 	// Go-back-N: rewind and resend from the hole.
 	s.sndNxt = s.sndUna
-	if s.backoff < 16 {
-		s.backoff++
-	}
 	s.rto = s.rto << 1
 	if max := 60 * sim.Second; s.rto > max {
 		s.rto = max

@@ -51,7 +51,7 @@ type Manifest struct {
 	// CapacityGbps is the bottleneck rate at the backend's native scale.
 	CapacityGbps float64 `json:"capacity_gbps"`
 	// Scale is the packet-scale factor applied to the scenario (1 for
-	// fluid).
+	// fluid and learned).
 	Scale float64 `json:"scale"`
 	// DurationNS is the simulated horizon in ns.
 	DurationNS int64 `json:"duration_ns"`
