@@ -92,10 +92,11 @@ func hotpathPoints() []hotpathPoint {
 		{"packet/hetero", backend.NamePacket, fileScenario("hetero.json", 5)},
 		{"packet/noisy-six", backend.NamePacket, fileScenario("noisy-six.json", 5)},
 		// Synthetic points covering paths the examples miss: the ECN/DCTCP
-		// marking pipeline, and the fluid SRPT/PIAS allocators.
+		// marking pipeline, and the fluid SRPT/PIAS/LAS allocators.
 		{"packet/dctcp-two-gpt2", backend.NamePacket, synth("dctcp", 5, "gpt2", "gpt2")},
 		{"fluid/srpt-three", backend.NameFluid, synth("srpt", 60, "gpt3", "gpt2", "gpt2")},
 		{"fluid/pias-three", backend.NameFluid, synth("pias", 60, "gpt3", "gpt2", "gpt2")},
+		{"fluid/las-three", backend.NameFluid, synth("las", 60, "gpt3", "gpt2", "gpt2")},
 		// A dense fat-tree with the fabric benchmark's shape: ~10 flows
 		// active per step over many link-connected components, the load
 		// the max-min allocator's incidence index and per-component
