@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint diff bench corpus train profile clean
+.PHONY: build test race lint loc diff bench corpus train profile clean
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,15 @@ race:
 # runs. Exits non-zero on any unsuppressed finding.
 lint:
 	$(GO) run ./cmd/mltcp-lint ./...
+
+# Go line counts over the tracked tree, the figures "net lines removed"
+# is reported in: non-test code (testdata/ excluded), _test.go files,
+# and the .go files under testdata/ (the lint analyzers' fixtures).
+loc:
+	@git ls-files '*.go' | awk ' \
+		{ k = /(^|\/)testdata\// ? "testdata" : /_test\.go$$/ ? "test" : "non-test"; \
+		  while ((getline line < $$0) > 0) n[k]++; close($$0) } \
+		END { printf "non-test %d\ntest %d\ntestdata %d\n", n["non-test"], n["test"], n["testdata"] }'
 
 # Structurally diff two JSONL traces (docs/EXTENDING.md §13): exits 0
 # when byte-identical, 1 when only metadata (revision) differs, 2 on
