@@ -163,6 +163,32 @@ func TestFluidBackendMatchesDirectFluid(t *testing.T) {
 	}
 }
 
+// TestFluidPolicyMapping checks the allocator every accepted policy name
+// runs on the fluid tier: each fluid-only discipline its own, everything
+// else the weighted share.
+func TestFluidPolicyMapping(t *testing.T) {
+	own := map[string]fluid.Policy{
+		"srpt": fluid.SRPT{},
+		"pdq":  fluid.SRPT{},
+		"las":  fluid.LAS{},
+		"pias": fluid.PIAS{},
+	}
+	for _, policy := range config.FluidOnlyPolicyNames() {
+		if _, ok := own[policy]; !ok {
+			t.Errorf("fluid-only policy %s has no allocator here", policy)
+		}
+	}
+	for _, policy := range config.PolicyNames() {
+		want, ok := own[policy]
+		if !ok {
+			want = fluid.WeightedShare{}
+		}
+		if got := fluidPolicy(policy); reflect.TypeOf(got) != reflect.TypeOf(want) {
+			t.Errorf("%s -> %T, want %T", policy, got, want)
+		}
+	}
+}
+
 func TestCentralizedRunsAtBothFidelities(t *testing.T) {
 	t.Parallel()
 	scn := smallScenario("centralized")

@@ -138,8 +138,8 @@ func TestPacketRejectsTopology(t *testing.T) {
 // byte-identical event trace and identical job timelines whether the
 // fluid solver uses the legacy WeightedShare single-link model or the
 // max-min allocator over a one-link network. This is what licenses
-// making MaxMin the topology-mode allocator without re-blessing any
-// golden artifact.
+// weighted max-min as the topology-mode allocator without re-blessing
+// any golden artifact.
 func TestMaxMinMatchesLegacyOnGoldenScenarios(t *testing.T) {
 	files, err := filepath.Glob(filepath.FromSlash("../../examples/scenarios/*.json"))
 	if err != nil || len(files) == 0 {
@@ -159,7 +159,7 @@ func TestMaxMinMatchesLegacyOnGoldenScenarios(t *testing.T) {
 			if scn.Topology != nil {
 				t.Skip("already a topology scenario")
 			}
-			if _, ok := scn.FluidPolicy().(fluid.WeightedShare); !ok {
+			if _, ok := fluidPolicy(scn.Policy).(fluid.WeightedShare); !ok {
 				t.Skipf("policy %s is not the weighted-share model", scn.Policy)
 			}
 			run := func(network bool) ([]byte, []*fluid.Job) {
@@ -179,7 +179,6 @@ func TestMaxMinMatchesLegacyOnGoldenScenarios(t *testing.T) {
 				}
 				if network {
 					cfg.Network = fluid.NewNetwork([]units.Rate{scn.Capacity()}, []string{"bottleneck"})
-					cfg.Policy = fluid.MaxMin{}
 					for _, j := range jobs {
 						j.Path = []int{0}
 					}

@@ -9,6 +9,7 @@ import (
 	"mltcp/internal/obs"
 	"mltcp/internal/sim"
 	"mltcp/internal/telemetry"
+	"mltcp/internal/units"
 )
 
 // Fluid runs scenarios on the flow-level simulator: milliseconds of wall
@@ -45,7 +46,7 @@ func (b *Fluid) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*Re
 	}
 	fcfg := fluid.Config{
 		Capacity:    c.s.Capacity(),
-		Policy:      c.s.FluidPolicy(),
+		Policy:      fluidPolicy(c.s.Policy),
 		TraceBucket: traceBucket,
 		Telemetry:   rec,
 	}
@@ -92,4 +93,21 @@ func (b *Fluid) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*Re
 	}
 	finishResult(res)
 	return res, nil
+}
+
+// fluidPolicy maps a scenario policy to its fluid allocator. The
+// in-network disciplines have their own; every congestion-control
+// policy, and centralized, shares by CC weight, which on a topology runs
+// as the network's weighted max-min.
+func fluidPolicy(policy string) fluid.Policy {
+	switch policy {
+	case "srpt", "pdq":
+		return fluid.SRPT{}
+	case "las":
+		return fluid.LAS{}
+	case "pias":
+		return fluid.PIAS{Thresholds: []int64{int64(100 * units.MB), int64(1000 * units.MB)}}
+	default:
+		return fluid.WeightedShare{}
+	}
 }

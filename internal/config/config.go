@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"mltcp/internal/core"
-	"mltcp/internal/fluid"
 	"mltcp/internal/sim"
 	"mltcp/internal/units"
 	"mltcp/internal/workload"
@@ -287,27 +286,6 @@ func (s Scenario) Agg() *core.AggFunc {
 	return &f
 }
 
-// FluidPolicy returns the fluid sharing policy for the scenario.
-func (s Scenario) FluidPolicy() fluid.Policy {
-	switch s.Policy {
-	case "srpt":
-		return fluid.SRPT{Label: "pfabric"}
-	case "pdq":
-		return fluid.SRPT{Label: "pdq"}
-	case "las":
-		return fluid.LAS{}
-	case "pias":
-		return fluid.PIAS{Thresholds: []int64{int64(100 * units.MB), int64(1000 * units.MB)}}
-	default: // every CC policy (and centralized) shares by CC weight
-		if s.Topology != nil {
-			// On a fabric the weighted share generalizes to weighted
-			// max-min across every link (bit-identical on a single link).
-			return fluid.MaxMin{}
-		}
-		return fluid.WeightedShare{}
-	}
-}
-
 // Specs expands the scenario's job list into backend-neutral workload
 // specs: replica groups are unrolled, offsets accumulate the automatic
 // stagger, and every spec gets a distinct seed. Both backends compile
@@ -348,15 +326,4 @@ func (s Scenario) Specs() []workload.Spec {
 		}
 	}
 	return specs
-}
-
-// BuildJobs expands the scenario into fluid jobs.
-func (s Scenario) BuildJobs() []*fluid.Job {
-	agg := s.Agg()
-	specs := s.Specs()
-	jobs := make([]*fluid.Job, len(specs))
-	for i, spec := range specs {
-		jobs[i] = &fluid.Job{Spec: spec, Agg: agg, MaxIterations: spec.MaxIterations}
-	}
-	return jobs
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"mltcp/internal/fluid"
 	"mltcp/internal/sim"
 	"mltcp/internal/units"
 )
@@ -34,26 +33,24 @@ func TestLoadDefaults(t *testing.T) {
 	}
 }
 
-func TestBuildJobsExpansion(t *testing.T) {
+func TestReplicaExpansion(t *testing.T) {
 	s, err := Load(strings.NewReader(fourJobScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := s.BuildJobs()
-	if len(jobs) != 4 {
-		t.Fatalf("built %d jobs, want 4", len(jobs))
+	specs := s.Specs()
+	if len(specs) != 4 {
+		t.Fatalf("expanded %d specs, want 4", len(specs))
 	}
-	if jobs[0].Spec.Name != "J1" || jobs[1].Spec.Name != "J-1" || jobs[3].Spec.Name != "J-3" {
-		t.Errorf("names: %s %s %s %s", jobs[0].Spec.Name, jobs[1].Spec.Name, jobs[2].Spec.Name, jobs[3].Spec.Name)
+	if specs[0].Name != "J1" || specs[1].Name != "J-1" || specs[3].Name != "J-3" {
+		t.Errorf("names: %s %s %s %s", specs[0].Name, specs[1].Name, specs[2].Name, specs[3].Name)
 	}
-	// MLTCP policy: every job carries the aggressiveness function.
-	for _, j := range jobs {
-		if j.Agg == nil {
-			t.Errorf("job %s has no aggressiveness function under mltcp policy", j.Spec.Name)
-		}
+	// MLTCP policy: the jobs share an aggressiveness function.
+	if s.Agg() == nil {
+		t.Error("no aggressiveness function under mltcp policy")
 	}
 	// Replicas are staggered.
-	if jobs[1].Spec.StartOffset == jobs[2].Spec.StartOffset {
+	if specs[1].StartOffset == specs[2].StartOffset {
 		t.Error("replicas share a start offset; symmetry would stall convergence")
 	}
 }
@@ -65,8 +62,7 @@ func TestCustomProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := s.BuildJobs()
-	p := jobs[0].Spec.Profile
+	p := s.Specs()[0].Profile
 	if p.ComputeTime != 900*sim.Millisecond {
 		t.Errorf("compute = %v", p.ComputeTime)
 	}
@@ -90,29 +86,6 @@ func TestSlopeInterceptOverride(t *testing.T) {
 	}
 	if got := agg.Eval(1); got != 3.5 {
 		t.Errorf("F(1) = %v, want 3.5", got)
-	}
-}
-
-func TestFluidPolicyMapping(t *testing.T) {
-	cases := map[string]string{
-		"mltcp": "weighted-share",
-		"reno":  "weighted-share",
-		"srpt":  "pfabric",
-		"pdq":   "pdq",
-		"las":   "las",
-		"pias":  "pias",
-	}
-	for policy, want := range cases {
-		s, err := Load(strings.NewReader(`{"policy": "` + policy + `", "jobs": [{"profile": "gpt2"}]}`))
-		if err != nil {
-			t.Fatalf("%s: %v", policy, err)
-		}
-		if got := s.FluidPolicy().Name(); got != want {
-			t.Errorf("%s -> %s, want %s", policy, got, want)
-		}
-		if policy != "mltcp" && s.Agg() != nil {
-			t.Errorf("%s: non-mltcp policy has an aggressiveness function", policy)
-		}
 	}
 }
 
@@ -181,8 +154,9 @@ func TestCCResolution(t *testing.T) {
 			t.Errorf("%s: Centralized() = %v", policy, got)
 		}
 	}
-	// Every mltcp-* policy carries an aggressiveness function.
-	for _, policy := range CCPolicyNames() {
+	// Every mltcp-* policy carries an aggressiveness function, and no
+	// other policy does.
+	for _, policy := range append(CCPolicyNames(), FluidOnlyPolicyNames()...) {
 		s := Scenario{Policy: policy}
 		if wantAgg := strings.HasPrefix(policy, "mltcp"); (s.Agg() != nil) != wantAgg {
 			t.Errorf("%s: Agg() nil-ness wrong", policy)
@@ -255,24 +229,5 @@ func TestSpecsExpansion(t *testing.T) {
 	if specs[2].Profile.ComputeTime != 900*sim.Millisecond ||
 		specs[2].Profile.CommBytes != units.ByteCount(625*1e6) {
 		t.Errorf("custom profile: %+v", specs[2].Profile)
-	}
-}
-
-func TestScenarioEndToEnd(t *testing.T) {
-	// A loaded scenario must actually run and reproduce the Fig. 2c
-	// outcome.
-	s, err := Load(strings.NewReader(fourJobScenario))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := s.BuildJobs()
-	f := fluid.New(fluid.Config{Capacity: s.Capacity(), Policy: s.FluidPolicy()}, jobs)
-	f.Run(s.Duration())
-	for _, j := range jobs {
-		ideal := j.Spec.Profile.IdealIterTime(s.Capacity())
-		avg := j.AvgIterTime(30)
-		if diff := avg.Seconds()/ideal.Seconds() - 1; diff > 0.05 || diff < -0.05 {
-			t.Errorf("%s: %v vs ideal %v", j.Spec.Name, avg, ideal)
-		}
 	}
 }

@@ -223,21 +223,13 @@ func TestTopologyBuild(t *testing.T) {
 	}
 }
 
-func TestTopologyFluidPolicy(t *testing.T) {
+func TestTopologyKeepsAgg(t *testing.T) {
 	s, err := Load(strings.NewReader(clusterScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.FluidPolicy().Name(); got != "maxmin" {
-		t.Errorf("topology FluidPolicy = %s, want maxmin", got)
-	}
 	if s.Agg() == nil {
 		t.Error("mltcp on a topology lost its aggressiveness function")
-	}
-	// Without a topology the policy mapping is untouched.
-	s.Topology = nil
-	if got := s.FluidPolicy().Name(); got != "weighted-share" {
-		t.Errorf("dumbbell FluidPolicy = %s, want weighted-share", got)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"mltcp/internal/units"
 )
 
-// AllocScratch is the reusable working set for in-place allocators. The
-// Sim owns one and passes it to every AllocateInto/AllocateNetworkInto
+// AllocScratch is the reusable working set for the allocators. The Sim
+// owns one and passes it to every Policy.Allocate and AllocateNetwork
 // call, so steady-state allocation decisions touch only flat arrays and
 // allocate nothing. On a network, Sim.New sizes every slice once
 // (reserve); otherwise they grow on demand and are then recycled.
@@ -93,7 +93,7 @@ type incidence struct {
 type crossing struct{ flow, next int32 }
 
 // Reindex marks the cached incidence index stale, so the next
-// AllocateNetworkInto call rebuilds it from its active set. A direct
+// AllocateNetwork call rebuilds it from its active set. A direct
 // caller that reuses the scratch calls it whenever the active set, a
 // job's path or the network (a link capacity included) changes between
 // calls. Sim never needs it: it reports each join and leave to the
@@ -373,7 +373,7 @@ func (ix *incidence) mergeLinks(a, b, c int32) int32 {
 	return head
 }
 
-// maxStarFlows bounds a star component's flows (see AllocateNetworkInto).
+// maxStarFlows bounds a star component's flows (see AllocateNetwork).
 const maxStarFlows = 1 << 10
 
 // starLink returns component c's star, or -1 if it has none: the lowest
@@ -414,7 +414,7 @@ func (ix *incidence) starLink(c int32) int32 {
 // unless an earlier candidate is its twin. Every link of c is thus a
 // candidate or the twin of a lower one, and no two candidates are
 // twins. The fill loop scans only the chain; why that is exact is in
-// AllocateNetworkInto's doc comment.
+// AllocateNetwork's doc comment.
 func (ix *incidence) candidates(c int32) int32 {
 	head, tail := int32(-1), int32(-1)
 	for l := ix.compHead[c]; l >= 0; l = ix.linkNext[l] {

@@ -38,7 +38,7 @@ func ExampleSRPT() {
 		{Spec: workload.Spec{Name: "J3", Profile: workload.GPT2}},
 		{Spec: workload.Spec{Name: "J4", Profile: workload.GPT2}},
 	}
-	s := fluid.New(fluid.Config{Capacity: 50 * units.Gbps, Policy: fluid.SRPT{Label: "pfabric"}}, jobs)
+	s := fluid.New(fluid.Config{Capacity: 50 * units.Gbps, Policy: fluid.SRPT{}}, jobs)
 	s.Run(90 * sim.Second)
 	j1 := jobs[0]
 	ideal := j1.Spec.Profile.IdealIterTime(50 * units.Gbps)

@@ -139,12 +139,13 @@ type Config struct {
 	// (each link then carries its own capacity).
 	Capacity units.Rate
 	// Policy allocates the bottleneck among communicating jobs. When
-	// Network is set it must be MaxMin.
+	// Network is set it must be WeightedShare, the single-link case of
+	// the network's weighted max-min.
 	Policy Policy
 	// Network, when non-nil, replaces the single bottleneck with a
 	// multi-link fabric: every job must carry a non-empty Path of link
-	// indices into Network.Capacities, and allocation goes through
-	// MaxMin's progressive filling.
+	// indices into Network.Capacities, and allocation is weighted max-min
+	// over its links (AllocateNetwork).
 	Network *Network
 	// Step bounds how long allocated rates are held constant before the
 	// policy re-evaluates (default 1ms). Phase boundaries are handled
@@ -169,7 +170,7 @@ type Config struct {
 // allocator scratch are reused — a steady-state step allocates nothing.
 type Sim struct {
 	cfg   Config
-	ws    bool // single link under WeightedShare or MaxMin: call WeightedShare directly
+	ws    bool // single link under WeightedShare: call it directly
 	jobs  []*Job
 	now   sim.Time
 	steps uint64
@@ -201,20 +202,15 @@ func New(cfg Config, jobs []*Job) *Sim {
 		panic("fluid: no jobs")
 	}
 	s := &Sim{cfg: cfg, jobs: jobs, minWake: sim.MaxTime}
-	if cfg.Network != nil {
-		if _, ok := cfg.Policy.(MaxMin); !ok {
-			panic(fmt.Sprintf("fluid: policy %s cannot allocate a multi-link network", cfg.Policy.Name()))
-		}
-	} else {
-		// Devirtualize the dominant single-link case: WeightedShare (and
-		// MaxMin, whose single-link path is WeightedShare by definition)
-		// is stateless, so allocate can call it directly instead of
-		// through the interface.
-		switch cfg.Policy.(type) {
-		case WeightedShare, MaxMin:
-			s.ws = true
-		}
+	// Devirtualize the dominant single-link case: WeightedShare is
+	// stateless, so allocate can call it directly instead of through the
+	// interface. A network allocates by weighted max-min, whose
+	// single-link case WeightedShare is, and by nothing else.
+	_, ws := cfg.Policy.(WeightedShare)
+	if cfg.Network != nil && !ws {
+		panic(fmt.Sprintf("fluid: policy %T cannot allocate a multi-link network", cfg.Policy))
 	}
+	s.ws = ws && cfg.Network == nil
 	hops := 0
 	for i, j := range jobs {
 		if j.Spec.Profile.CommBytes <= 0 || j.Spec.Profile.ComputeTime < 0 {
@@ -358,9 +354,9 @@ func (s *Sim) Run(until sim.Time) {
 	s.now = until
 }
 
-// allocate fills the per-step rate vector in place for the weighted
-// share and for network max-min, and falls back to the allocating
-// Policy interface for every other policy.
+// allocate fills the per-step rate vector in place: the weighted share
+// on one link and max-min on a network by direct calls, every other
+// policy through the Policy interface.
 //
 // hot
 func (s *Sim) allocate(active []*Job) []units.Rate {
@@ -370,14 +366,11 @@ func (s *Sim) allocate(active []*Job) []units.Rate {
 	rates := s.rates[:len(active)]
 	switch {
 	case s.ws:
-		// Direct (devirtualized) call: WeightedShare is stateless and its
-		// in-place path produces the same values MaxMin's single-link
-		// Allocate delegates to, so both policies share this branch.
-		WeightedShare{}.AllocateInto(s.cfg.Capacity, active, rates, &s.scratch)
+		WeightedShare{}.Allocate(s.cfg.Capacity, active, rates, &s.scratch)
 	case s.cfg.Network != nil:
-		MaxMin{}.AllocateNetworkInto(s.cfg.Network, active, rates, &s.scratch)
+		AllocateNetwork(s.cfg.Network, active, rates, &s.scratch)
 	default:
-		return s.cfg.Policy.Allocate(s.cfg.Capacity, active)
+		s.cfg.Policy.Allocate(s.cfg.Capacity, active, rates, &s.scratch)
 	}
 	return rates
 }

@@ -23,6 +23,13 @@ func defaultAgg() *core.AggFunc {
 	return &f
 }
 
+// allocRates runs p.Allocate into a fresh rate vector and scratch.
+func allocRates(p Policy, capacity units.Rate, active []*Job) []units.Rate {
+	rates := make([]units.Rate, len(active))
+	p.Allocate(capacity, active, rates, &AllocScratch{})
+	return rates
+}
+
 func runSim(t *testing.T, policy Policy, until sim.Time, jobs ...*Job) *Sim {
 	t.Helper()
 	s := New(Config{Capacity: cap50G, Policy: policy}, jobs)
@@ -190,9 +197,35 @@ func TestPIASBandsDemote(t *testing.T) {
 	j2.attained = 0                       // band 0
 	j1.phase, j2.phase = phaseComm, phaseComm
 	j1.commRemaining, j2.commRemaining = 1e9, 1e9
-	rates := p.Allocate(cap50G, []*Job{j1, j2})
+	rates := allocRates(p, cap50G, []*Job{j1, j2})
 	if rates[0] != 0 || rates[1] != cap50G {
 		t.Errorf("rates = %v, want all capacity to band-0 job", rates)
+	}
+}
+
+// TestPoliciesAllocateNothing checks that every single-link policy
+// writes its rates in place: an Allocate into preallocated rates, on a
+// scratch a first call has sized, allocates nothing.
+func TestPoliciesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under the race detector")
+	}
+	for name, p := range map[string]Policy{
+		"weighted-share": WeightedShare{},
+		"srpt":           SRPT{},
+		"las":            LAS{},
+		"pias":           PIAS{Thresholds: []int64{int64(500 * units.MB), int64(1500 * units.MB)}},
+	} {
+		active := []*Job{gpt2Job("J1", 0, defaultAgg()), gpt2Job("J2", 0, nil), gpt2Job("J3", 0, defaultAgg())}
+		for i, j := range active {
+			j.phase, j.commRemaining = phaseComm, 1e9
+			j.attained = float64(i) * float64(400*units.MB)
+		}
+		rates := make([]units.Rate, len(active))
+		var sc AllocScratch
+		if a := testing.AllocsPerRun(100, func() { p.Allocate(cap50G, active, rates, &sc) }); a != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, a)
+		}
 	}
 }
 
@@ -204,7 +237,7 @@ func TestWeightedShareProportionality(t *testing.T) {
 	j1.commRemaining, j2.commRemaining = 1e9, 1e9
 	j1.attained = float64(workload.GPT2.CommBytes) // ratio 1 -> F=2
 	j2.attained = 0                                // ratio 0 -> F=0.25
-	rates := (WeightedShare{}).Allocate(cap50G, []*Job{j1, j2})
+	rates := allocRates(WeightedShare{}, cap50G, []*Job{j1, j2})
 	wantShare := 2.0 / 2.25
 	if got := float64(rates[0]) / float64(cap50G); !nearF(got, wantShare) {
 		t.Errorf("j1 share = %v, want %v", got, wantShare)

@@ -8,9 +8,9 @@ import (
 )
 
 // Network describes a multi-link fabric for the fluid simulator: one
-// capacity per directed link. Jobs carry a Path of link indices; the
-// MaxMin policy allocates rates so every flow is bottlenecked somewhere
-// on its own path rather than on one global link.
+// capacity per directed link. Jobs carry a Path of link indices;
+// AllocateNetwork allocates rates so every flow is bottlenecked
+// somewhere on its own path rather than on one global link.
 type Network struct {
 	// Capacities[l] is link l's rate.
 	Capacities []units.Rate
@@ -30,42 +30,19 @@ func NewNetwork(capacities []units.Rate, names []string) *Network {
 	return &Network{Capacities: capacities, Names: names}
 }
 
-// MaxMin is the weighted max-min allocator: progressive filling
-// (water-filling) where each flow's level rises in proportion to its
-// Weight() until some link on its path saturates. On a single shared
-// link this reduces bit-for-bit to WeightedShare — every flow's one
-// bottleneck is that link and its rate is capacity·w/Σw computed by the
-// same expression — which is what keeps the legacy dumbbell golden
-// traces byte-identical under the new allocator.
-type MaxMin struct{}
-
-// Name implements Policy.
-func (MaxMin) Name() string { return "maxmin" }
-
-// Allocate implements Policy (the single-link degenerate case): every
-// active job implicitly crosses the one bottleneck, so weighted max-min
-// is exactly the weighted share.
-func (MaxMin) Allocate(capacity units.Rate, active []*Job) []units.Rate {
-	return WeightedShare{}.Allocate(capacity, active)
-}
-
-// AllocateNetwork returns the instantaneous rate for each active job,
-// respecting every link capacity along each job's Path. It is the
-// allocating wrapper around AllocateNetworkInto.
-func (p MaxMin) AllocateNetwork(nw *Network, active []*Job) []units.Rate {
-	rates := make([]units.Rate, len(active))
-	var sc AllocScratch
-	p.AllocateNetworkInto(nw, active, rates, &sc)
-	return rates
-}
-
-// AllocateNetworkInto fills rates by progressive filling. Each round
-// finds the link that saturates first — the minimum of
+// AllocateNetwork is the weighted max-min allocator a Network runs
+// under: it fills rates by progressive filling (water-filling), where
+// each flow's level rises in proportion to its Weight() until some link
+// on its path saturates. On a single shared link this reduces
+// bit-for-bit to WeightedShare — every flow's one bottleneck is that
+// link and its rate is capacity·w/Σw computed by the same expression.
+//
+// Each round finds the link that saturates first — the minimum of
 // headroom/Σweights over links still carrying unfrozen flows — freezes
-// every unfrozen flow crossing it at its weighted share of the
-// remaining headroom, and charges those rates to every link on the
-// frozen flows' paths. Ties break toward the lowest link index, so the
-// allocation is a pure function of (network, active jobs).
+// every unfrozen flow crossing it at its weighted share of the remaining
+// headroom, and charges those rates to every link on the frozen flows'
+// paths. Ties break toward the lowest link index, so the allocation is a
+// pure function of (network, active jobs).
 //
 // The work is organized around the scratch's incidence index, so a call
 // costs in proportion to the links and flows that interact, not to the
@@ -133,7 +110,7 @@ func (p MaxMin) AllocateNetwork(nw *Network, active []*Job) []units.Rate {
 // among flows sharing a bottleneck.
 //
 // hot
-func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate, sc *AllocScratch) {
+func AllocateNetwork(nw *Network, active []*Job, rates []units.Rate, sc *AllocScratch) {
 	n := len(active)
 	for i := range rates {
 		rates[i] = 0

@@ -11,7 +11,7 @@ import (
 	"mltcp/internal/workload"
 )
 
-// BenchmarkMaxMinFatTree8 times one MaxMin.AllocateNetworkInto call on a
+// BenchmarkMaxMinFatTree8 times one AllocateNetwork call on a
 // k=8 fat-tree at 50 Gbps, the cluster fluid point's fabric, over a
 // frozen set of ten active jobs from the fabric benchmark's trace
 // (fatTree8Trace; the fabric benchmark averages ≈9.5 active flows per
@@ -32,16 +32,16 @@ func BenchmarkMaxMinFatTree8(b *testing.B) {
 	})
 }
 
-// benchMaxMin times AllocateNetworkInto on one frozen active set.
+// benchMaxMin times AllocateNetwork on one frozen active set.
 func benchMaxMin(b *testing.B, nw *Network, active []*Job) {
 	rates := make([]units.Rate, len(active))
 	var sc AllocScratch
-	MaxMin{}.AllocateNetworkInto(nw, active, rates, &sc) // builds the index
+	AllocateNetwork(nw, active, rates, &sc) // builds the index
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		stepWeights(active, n)
-		MaxMin{}.AllocateNetworkInto(nw, active, rates, &sc)
+		AllocateNetwork(nw, active, rates, &sc)
 	}
 }
 
@@ -157,13 +157,13 @@ func TestMaxMinFatTree8FillAllocatesNothing(t *testing.T) {
 	active := all[fillWindow(nw, all, 10):][:10]
 	rates := make([]units.Rate, len(active))
 	var sc AllocScratch
-	MaxMin{}.AllocateNetworkInto(nw, active, rates, &sc)
+	AllocateNetwork(nw, active, rates, &sc)
 	n := 0
 	if a := testing.AllocsPerRun(100, func() {
 		stepWeights(active, n)
 		n++
-		MaxMin{}.AllocateNetworkInto(nw, active, rates, &sc)
+		AllocateNetwork(nw, active, rates, &sc)
 	}); a != 0 {
-		t.Fatalf("AllocateNetworkInto on the fill set: %v allocs/op, want 0", a)
+		t.Fatalf("AllocateNetwork on the fill set: %v allocs/op, want 0", a)
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"mltcp/internal/workload"
 )
 
-// diffRunner runs MaxMin and the reference allocator side by side over a
-// sequence of calls. MaxMin keeps one AllocScratch for the runner's whole
+// diffRunner runs AllocateNetwork and the reference allocator side by
+// side over a sequence of calls. AllocateNetwork keeps one AllocScratch for the runner's whole
 // life — across active-set changes and across networks of different
 // sizes — so its incidence index is kept, reused and resized exactly as
 // in a simulation; the reference keeps its own scratch the same way.
@@ -49,8 +49,8 @@ func (d *diffRunner) check(nw *Network, active []*Job) {
 	for i := range got {
 		got[i] = units.Rate(math.NaN()) // every element must be written
 	}
-	refAllocateNetworkInto(nw, active, want, &d.ref)
-	MaxMin{}.AllocateNetworkInto(nw, active, got, &d.sc)
+	refAllocateNetwork(nw, active, want, &d.ref)
+	AllocateNetwork(nw, active, got, &d.sc)
 	if len(active) > 0 || d.sc.inc.built { // an empty set leaves a stale index stale
 		if err := indexMatches(&d.sc.inc, nw.Capacities, active); err != nil {
 			d.t.Fatalf("call %d: %v", d.calls, err)
@@ -704,7 +704,7 @@ func TestMaxMinStarFlowBound(t *testing.T) {
 	}
 }
 
-// TestMaxMinMatchesReference drives MaxMin and the reference over random
+// TestMaxMinMatchesReference drives AllocateNetwork and the reference over random
 // fabrics and random sequences of active sets: flows join and leave,
 // members are swapped at a constant set size, weights move every call
 // (and may be zero, negative or NaN), paths may repeat a link,
@@ -901,22 +901,22 @@ func TestMaxMinReservedScratchAllocatesNothing(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for _, active := range sets {
 		sc.Reindex()
-		MaxMin{}.AllocateNetworkInto(nw, active, rates[:len(active)], &sc)
+		AllocateNetwork(nw, active, rates[:len(active)], &sc)
 	}
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("AllocateNetworkInto on a reserved scratch: %d allocations over %d index rebuilds, want 0", n, len(sets))
+		t.Fatalf("AllocateNetwork on a reserved scratch: %d allocations over %d index rebuilds, want 0", n, len(sets))
 	}
 
 	sc.reserve(nw.Capacities, len(pool), hops) // an empty index, kept from here on
 	runtime.ReadMemStats(&before)
 	for s, active := range sets {
 		sc.inc.apply(moves[s])
-		MaxMin{}.AllocateNetworkInto(nw, active, rates[:len(active)], &sc)
+		AllocateNetwork(nw, active, rates[:len(active)], &sc)
 	}
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("joins, leaves and AllocateNetworkInto on a reserved scratch: %d allocations over %d active sets, want 0", n, len(sets))
+		t.Fatalf("joins, leaves and AllocateNetwork on a reserved scratch: %d allocations over %d active sets, want 0", n, len(sets))
 	}
 	if err := indexMatches(&sc.inc, nw.Capacities, nil); err != nil {
 		t.Fatal(err)
@@ -965,7 +965,7 @@ func TestSimReindexContract(t *testing.T) {
 			Path:          fab.Path(src, dst, rng.Uint64()),
 		}
 	}
-	s := New(Config{Network: NewNetwork(caps, nil), Policy: MaxMin{}}, jobs)
+	s := New(Config{Network: NewNetwork(caps, nil), Policy: WeightedShare{}}, jobs)
 	checked, sizes := 0, map[int]bool{}
 	for s.Now() < 10*sim.Second {
 		s.Run(s.Now() + sim.Millisecond)

@@ -14,13 +14,13 @@ type refScratch struct {
 	cands      []int
 }
 
-// refAllocateNetworkInto is the candidate-link progressive filling the
-// incidence-indexed MaxMin.AllocateNetworkInto replaced, kept verbatim in
+// refAllocateNetwork is the candidate-link progressive filling the
+// incidence-indexed AllocateNetwork replaced, kept verbatim in
 // structure as the differential oracle: every round rescans all
 // candidate links for the bottleneck, scans every active path for the
 // flows crossing it, and re-sums every candidate link's weight from
-// scratch. MaxMin must reproduce its rates and bottlenecks bit for bit.
-func refAllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate, sc *refScratch) {
+// scratch. AllocateNetwork must reproduce its rates and bottlenecks bit for bit.
+func refAllocateNetwork(nw *Network, active []*Job, rates []units.Rate, sc *refScratch) {
 	n := len(active)
 	for i := range rates {
 		rates[i] = 0

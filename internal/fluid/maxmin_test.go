@@ -13,6 +13,13 @@ import (
 
 // netJob builds a communicating job with a constant weight (F(r) = weight
 // for every r) and the given path, ready for Allocate calls.
+// allocNetwork runs AllocateNetwork into a fresh rate vector and scratch.
+func allocNetwork(nw *Network, active []*Job) []units.Rate {
+	rates := make([]units.Rate, len(active))
+	AllocateNetwork(nw, active, rates, &AllocScratch{})
+	return rates
+}
+
 func netJob(name string, weight float64, path []int) *Job {
 	j := &Job{
 		Spec: workload.Spec{
@@ -129,14 +136,14 @@ func TestMaxMinRandomTopologies(t *testing.T) {
 			w := 0.25 + rng.Float64()*1.75 // the paper's F range
 			jobs[i] = netJob(names[i], w, perm[:pl])
 		}
-		rates := MaxMin{}.AllocateNetwork(nw, jobs)
+		rates := allocNetwork(nw, jobs)
 		checkInvariants(t, nw, jobs, rates)
 	}
 }
 
 // TestMaxMinSingleLinkBitIdentical pins the degenerate case the golden
-// traces rely on: over one link, AllocateNetwork and Allocate both
-// reproduce WeightedShare bit for bit, for arbitrary weights.
+// traces rely on: over one link, AllocateNetwork reproduces
+// WeightedShare bit for bit, for arbitrary weights.
 func TestMaxMinSingleLinkBitIdentical(t *testing.T) {
 	for seed := uint64(0); seed < 32; seed++ {
 		rng := sim.NewRNGAt(7, seed)
@@ -149,12 +156,9 @@ func TestMaxMinSingleLinkBitIdentical(t *testing.T) {
 			netJobs[i] = netJob("s", w, []int{0})
 		}
 		cap := units.Rate((1 + rng.Float64()*99) * float64(units.Gbps))
-		want := WeightedShare{}.Allocate(cap, jobs)
-		if got := (MaxMin{}).Allocate(cap, jobs); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: MaxMin.Allocate diverged from WeightedShare", seed)
-		}
+		want := allocRates(WeightedShare{}, cap, jobs)
 		nw := NewNetwork([]units.Rate{cap}, []string{"bottleneck"})
-		if got := (MaxMin{}).AllocateNetwork(nw, netJobs); !reflect.DeepEqual(got, want) {
+		if got := allocNetwork(nw, netJobs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: AllocateNetwork over one link diverged from WeightedShare", seed)
 		}
 	}
@@ -170,7 +174,7 @@ func TestMaxMinParkingLot(t *testing.T) {
 		netJob("s0", 1, []int{0}),
 		netJob("s1", 1, []int{1}),
 	}
-	rates := MaxMin{}.AllocateNetwork(nw, jobs)
+	rates := allocNetwork(nw, jobs)
 	checkInvariants(t, nw, jobs, rates)
 	for i, want := range []float64{0.5e9, 0.5e9, 0.5e9} {
 		if got := float64(rates[i]); math.Abs(got-want) > relTol*want {
@@ -188,7 +192,7 @@ func TestMaxMinMultiBottleneck(t *testing.T) {
 		netJob("long", 1, []int{0, 1}),
 		netJob("local", 1, []int{1}),
 	}
-	rates := MaxMin{}.AllocateNetwork(nw, jobs)
+	rates := allocNetwork(nw, jobs)
 	checkInvariants(t, nw, jobs, rates)
 	if got, want := float64(rates[0]), 1e9; math.Abs(got-want) > relTol*want {
 		t.Errorf("long flow: rate %g, want %g", got, want)
@@ -207,7 +211,7 @@ func TestMaxMinWeightScaling(t *testing.T) {
 		netJob("w2", 2, []int{0}),
 		netJob("w1", 1, []int{0}),
 	}
-	rates := MaxMin{}.AllocateNetwork(nw, jobs)
+	rates := allocNetwork(nw, jobs)
 	checkInvariants(t, nw, jobs, rates)
 	if float64(rates[0]) != 2*float64(rates[1]) { //lint:allow simunits 2× proportionality is exact in binary floating point for the shared-denominator expression
 		t.Errorf("rates %v, %v: want exact 2:1 split", rates[0], rates[1])
@@ -235,7 +239,7 @@ func TestSimNetworkRun(t *testing.T) {
 		mk("shared-b", 2, []int{1, 2}),
 		mk("alone", 3, []int{3}),
 	}
-	s := New(Config{Network: nw, Policy: MaxMin{}}, jobs)
+	s := New(Config{Network: nw, Policy: WeightedShare{}}, jobs)
 	s.Run(30 * sim.Second)
 	for _, j := range jobs {
 		if j.Iterations() < 10 {
@@ -261,12 +265,12 @@ func TestSimNetworkValidation(t *testing.T) {
 		fn()
 	}
 	mustPanic("non-network policy", func() {
-		New(Config{Network: nw, Policy: WeightedShare{}}, []*Job{netJob("x", 1, []int{0})})
+		New(Config{Network: nw, Policy: SRPT{}}, []*Job{netJob("x", 1, []int{0})})
 	})
 	mustPanic("missing path", func() {
-		New(Config{Network: nw, Policy: MaxMin{}}, []*Job{netJob("x", 1, nil)})
+		New(Config{Network: nw, Policy: WeightedShare{}}, []*Job{netJob("x", 1, nil)})
 	})
 	mustPanic("bad link index", func() {
-		New(Config{Network: nw, Policy: MaxMin{}}, []*Job{netJob("x", 1, []int{3})})
+		New(Config{Network: nw, Policy: WeightedShare{}}, []*Job{netJob("x", 1, []int{3})})
 	})
 }

@@ -5,13 +5,12 @@ import (
 )
 
 // Policy allocates the bottleneck capacity among the currently
-// communicating jobs. Implementations must return one rate per active job,
-// summing to at most the capacity.
+// communicating jobs.
 type Policy interface {
-	// Name labels the policy in traces and figure legends.
-	Name() string
-	// Allocate returns the instantaneous rate for each active job.
-	Allocate(capacity units.Rate, active []*Job) []units.Rate
+	// Allocate writes each active job's instantaneous rate into rates
+	// (length = len(active)), summing to at most the capacity. sc is the
+	// caller's reusable working set, so a call allocates nothing.
+	Allocate(capacity units.Rate, active []*Job, rates []units.Rate, sc *AllocScratch)
 }
 
 // WeightedShare divides capacity in proportion to each job's Weight():
@@ -20,25 +19,13 @@ type Policy interface {
 // unequal sharing that produces the Shift.
 type WeightedShare struct{}
 
-// Name implements Policy.
-func (WeightedShare) Name() string { return "weighted-share" }
-
-// Allocate implements Policy.
-func (p WeightedShare) Allocate(capacity units.Rate, active []*Job) []units.Rate {
-	rates := make([]units.Rate, len(active))
-	var sc AllocScratch
-	p.AllocateInto(capacity, active, rates, &sc)
-	return rates
-}
-
-// AllocateInto is Allocate writing into rates (length = len(active))
-// instead of a fresh slice, with the same values. Each job's weight is
-// evaluated once and cached in the scratch — Weight() is a pure function
-// of state that does not change within one allocation, so the cached
-// value is bit-identical to re-evaluating it in the second loop.
+// Allocate implements Policy. Each job's weight is evaluated once and
+// cached in the scratch — Weight() is a pure function of state that does
+// not change within one allocation, so the cached value is bit-identical
+// to re-evaluating it in the second loop.
 //
 // hot
-func (WeightedShare) AllocateInto(capacity units.Rate, active []*Job, rates []units.Rate, sc *AllocScratch) {
+func (WeightedShare) Allocate(capacity units.Rate, active []*Job, rates []units.Rate, sc *AllocScratch) {
 	weights := sc.weights(len(active))
 	var sum float64
 	for i, j := range active {
@@ -47,9 +34,7 @@ func (WeightedShare) AllocateInto(capacity units.Rate, active []*Job, rates []un
 		sum += w
 	}
 	if sum <= 0 {
-		for i := range rates {
-			rates[i] = 0
-		}
+		clear(rates)
 		return
 	}
 	for i := range active {
@@ -57,21 +42,10 @@ func (WeightedShare) AllocateInto(capacity units.Rate, active []*Job, rates []un
 	}
 }
 
-// SRPT gives the whole link to the job with the least remaining bytes
-// (ties split equally) — the schedule pFabric's priority queues enforce
-// and PDQ's rate control approximates (§2's "distributed approaches").
-type SRPT struct {
-	// Label overrides the policy name ("pfabric", "pdq") for figures.
-	Label string
-}
-
-// Name implements Policy.
-func (p SRPT) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	return "srpt"
-}
+// SRPT gives the whole link to the job with the least remaining bytes —
+// the schedule pFabric's priority queues enforce and PDQ's rate control
+// approximates (§2's "distributed approaches").
+type SRPT struct{}
 
 // Allocate implements Policy. Exactly one job wins the link: among
 // least-remaining jobs, the one whose communication phase started earliest
@@ -79,10 +53,12 @@ func (p SRPT) Name() string {
 // pFabric, the first packet served lowers that flow's remaining size below
 // its peers', so equal flows serialize rather than share; an equal split
 // would pin them to an unstable knife-edge forever.
-func (SRPT) Allocate(capacity units.Rate, active []*Job) []units.Rate {
-	rates := make([]units.Rate, len(active))
+//
+// hot
+func (SRPT) Allocate(capacity units.Rate, active []*Job, rates []units.Rate, _ *AllocScratch) {
+	clear(rates)
 	if len(active) == 0 {
-		return rates
+		return
 	}
 	win := 0
 	for i, j := range active[1:] {
@@ -91,7 +67,6 @@ func (SRPT) Allocate(capacity units.Rate, active []*Job) []units.Rate {
 		}
 	}
 	rates[win] = capacity
-	return rates
 }
 
 func better(a, b *Job) bool {
@@ -102,17 +77,15 @@ func better(a, b *Job) bool {
 }
 
 // LAS gives the whole link to the job with the least attained service in
-// its current iteration (ties split equally).
+// its current iteration (ties, within one byte, split equally).
 type LAS struct{}
 
-// Name implements Policy.
-func (LAS) Name() string { return "las" }
-
 // Allocate implements Policy.
-func (LAS) Allocate(capacity units.Rate, active []*Job) []units.Rate {
-	rates := make([]units.Rate, len(active))
+//
+// hot
+func (LAS) Allocate(capacity units.Rate, active []*Job, rates []units.Rate, _ *AllocScratch) {
 	if len(active) == 0 {
-		return rates
+		return
 	}
 	best := active[0].Attained()
 	for _, j := range active[1:] {
@@ -120,16 +93,19 @@ func (LAS) Allocate(capacity units.Rate, active []*Job) []units.Rate {
 			best = a
 		}
 	}
-	var winners []int
-	for i, j := range active {
+	n := 0
+	for _, j := range active {
 		if j.Attained() <= best+1 {
-			winners = append(winners, i)
+			n++
 		}
 	}
-	for _, i := range winners {
-		rates[i] = units.Rate(float64(capacity) / float64(len(winners)))
+	share := units.Rate(float64(capacity) / float64(n))
+	for i, j := range active {
+		rates[i] = 0
+		if j.Attained() <= best+1 {
+			rates[i] = share
+		}
 	}
-	return rates
 }
 
 // PIAS approximates LAS with a few byte thresholds, as the real system does
@@ -140,9 +116,6 @@ type PIAS struct {
 	// Thresholds are the demotion boundaries in bytes, ascending.
 	Thresholds []int64
 }
-
-// Name implements Policy.
-func (PIAS) Name() string { return "pias" }
 
 func (p PIAS) band(j *Job) int {
 	b := 0
@@ -155,10 +128,11 @@ func (p PIAS) band(j *Job) int {
 }
 
 // Allocate implements Policy.
-func (p PIAS) Allocate(capacity units.Rate, active []*Job) []units.Rate {
-	rates := make([]units.Rate, len(active))
+//
+// hot
+func (p PIAS) Allocate(capacity units.Rate, active []*Job, rates []units.Rate, _ *AllocScratch) {
 	if len(active) == 0 {
-		return rates
+		return
 	}
 	best := p.band(active[0])
 	for _, j := range active[1:] {
@@ -166,14 +140,17 @@ func (p PIAS) Allocate(capacity units.Rate, active []*Job) []units.Rate {
 			best = b
 		}
 	}
-	var winners []int
-	for i, j := range active {
+	n := 0
+	for _, j := range active {
 		if p.band(j) == best {
-			winners = append(winners, i)
+			n++
 		}
 	}
-	for _, i := range winners {
-		rates[i] = units.Rate(float64(capacity) / float64(len(winners)))
+	share := units.Rate(float64(capacity) / float64(n))
+	for i, j := range active {
+		rates[i] = 0
+		if p.band(j) == best {
+			rates[i] = share
+		}
 	}
-	return rates
 }
