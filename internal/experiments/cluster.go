@@ -10,10 +10,8 @@ package experiments
 // all determinism contracts intact.
 
 import (
-	"context"
 	"fmt"
 
-	"mltcp/internal/backend"
 	"mltcp/internal/config"
 	"mltcp/internal/sim"
 	"mltcp/internal/workload"
@@ -112,12 +110,4 @@ func ClusterScenario(o ClusterOpts) *config.Scenario {
 		Topology:    topo,
 		Jobs:        list,
 	}
-}
-
-// ClusterGrid generates the cluster scenario and runs `runs` seeded
-// replicas on the fluid backend across the harness worker pool. Replica
-// seeds perturb the jobs' noise streams; the trace shape (arrivals,
-// placement, budgets) is fixed by opts.Seed.
-func ClusterGrid(ctx context.Context, o ClusterOpts, runs int, baseSeed uint64, workers int) ([]*backend.Result, error) {
-	return ScenarioGrid(ctx, &backend.Fluid{}, ClusterScenario(o), runs, baseSeed, workers)
 }

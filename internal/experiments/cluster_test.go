@@ -146,11 +146,11 @@ func TestClusterGridDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	o := testClusterOpts()
 	o.Jobs = 40 // smaller: this sweep runs 2×3 full simulations
-	serial, err := ClusterGrid(context.Background(), o, 3, 42, 1)
+	serial, err := ScenarioGrid(context.Background(), &backend.Fluid{}, ClusterScenario(o), 3, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ClusterGrid(context.Background(), o, 3, 42, 8)
+	parallel, err := ScenarioGrid(context.Background(), &backend.Fluid{}, ClusterScenario(o), 3, 42, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,27 +60,16 @@ func NewJobLayout(h *HeadModel, proto Vector) *JobLayout {
 	return l
 }
 
-// Eval binds the layout to one scenario's hashed base vector, resolving
-// the base dot product and every stump job features cannot move. sv must
-// be the scenario vector base was hashed from (the sparse dot over sv
-// equals the dense dot over base by linearity of hashing).
-func (l *JobLayout) Eval(base []float64, sv Vector) *JobEval {
-	return l.finishEval(base, DotVector(l.head.Weights, sv))
-}
-
-// EvalHashed is Eval with the scenario vector's slots pre-resolved —
-// bit-identical to Eval(base, v) for hv = NewHashedVector(v), without
-// re-hashing any feature name.
+// EvalHashed binds the layout to one scenario's hashed base vector,
+// resolving the base dot product and every stump job features cannot
+// move. hv must be the scenario vector base was hashed from (the sparse
+// dot over hv equals the dense dot over base by linearity of hashing).
 func (l *JobLayout) EvalHashed(base []float64, hv *HashedVector) *JobEval {
-	return l.finishEval(base, hv.Dot(l.head.Weights))
-}
-
-func (l *JobLayout) finishEval(base []float64, baseY float64) *JobEval {
 	e := &JobEval{
 		layout: l,
 		base:   base,
 		xd:     make([]float64, len(l.dims)),
-		baseY:  baseY,
+		baseY:  hv.Dot(l.head.Weights),
 	}
 	stumps := l.head.Stumps
 	for _, si := range l.fixStumps {
@@ -102,14 +91,6 @@ type JobEval struct {
 	base   []float64
 	baseY  float64   // weights·base plus stumps on untouched dims
 	xd     []float64 // scratch: current value of each touched dim
-}
-
-// NewJobEval prepares h for repeated job scoring against a fixed hashed
-// scenario base: NewJobLayout + Eval in one step, for callers that do not
-// reuse the layout. sv must be the scenario vector base was hashed from;
-// proto fixes the job-vector layout.
-func NewJobEval(h *HeadModel, base []float64, sv, proto Vector) *JobEval {
-	return NewJobLayout(h, proto).Eval(base, sv)
 }
 
 // Predict scores one job vector laid out like the layout's prototype. A
@@ -147,24 +128,12 @@ func (e *JobEval) Predict(v Vector) float64 {
 	return y
 }
 
-// DotVector is the sparse weighted sum of a feature vector: equal to the
-// dense dot product of w with the vector's hashed image, without touching
-// the Dim-Dim zero slots.
-func DotVector(w []float64, v Vector) float64 {
-	var y float64
-	for _, f := range v {
-		idx, sign := slot(f.Name)
-		y += w[idx] * sign * f.Value
-	}
-	return y
-}
-
 // HashedVector is a feature vector with every name's hash slot resolved
 // once. Serving evaluates one scenario vector against several heads;
-// DotVector re-hashes each name per call, which dominates a
-// microsecond-budget Run, so Learned.Run resolves the slots a single
-// time and reuses them. Dot and AddTo keep DotVector's and HashInto's
-// exact operation order, so predictions match bit for bit.
+// hashing each name per head would dominate a microsecond-budget Run, so
+// Learned.Run resolves the slots a single time and reuses them. AddTo
+// keeps HashInto's exact operation order, so the dense image matches bit
+// for bit.
 type HashedVector struct {
 	idx  []int32
 	sign []float64
@@ -185,7 +154,8 @@ func NewHashedVector(v Vector) *HashedVector {
 	return hv
 }
 
-// Dot is DotVector over the pre-resolved slots.
+// Dot is the sparse weighted sum of the vector: equal to the dense dot
+// product of w with its hashed image, without touching the zero slots.
 func (hv *HashedVector) Dot(w []float64) float64 {
 	var y float64
 	for i, d := range hv.idx {
@@ -201,21 +171,12 @@ func (hv *HashedVector) AddTo(x []float64) {
 	}
 }
 
-// PredictSparse evaluates h on a hashed base and the sparse vector it was
+// PredictHashed evaluates h on a hashed base and the vector it was
 // hashed from: the linear term runs over the vector's entries, the stumps
 // over the dense base. Equivalent to Predict(base) up to float summation
 // order.
-func (h *HeadModel) PredictSparse(base []float64, v Vector) float64 {
-	return h.predictStumps(base, DotVector(h.Weights, v))
-}
-
-// PredictHashed is PredictSparse with the vector's slots pre-resolved —
-// bit-identical to PredictSparse(base, v) for hv = NewHashedVector(v).
 func (h *HeadModel) PredictHashed(base []float64, hv *HashedVector) float64 {
-	return h.predictStumps(base, hv.Dot(h.Weights))
-}
-
-func (h *HeadModel) predictStumps(base []float64, y float64) float64 {
+	y := hv.Dot(h.Weights)
 	for si := range h.Stumps {
 		s := &h.Stumps[si]
 		if base[s.Dim] <= s.Threshold {

@@ -44,7 +44,7 @@ func evalScenarios() []*config.Scenario {
 }
 
 // TestJobEvalMatchesDensePredict is the fast-path correctness guarantee:
-// the layout-cached sparse evaluation must agree with the dense
+// the layout-cached evaluation the learned backend serves must agree with the dense
 // copy-base-hash-and-Predict path on every head and job, within float
 // reassociation tolerance (the two paths sum in different orders, so
 // bitwise equality is not the contract).
@@ -62,7 +62,7 @@ func TestJobEvalMatchesDensePredict(t *testing.T) {
 		f := extractFor(t, scn)
 		base := make([]float64, Dim)
 		HashInto(base, f.Scenario)
-		ev := NewJobEval(h, base, f.Scenario, f.Jobs[0])
+		ev := NewJobLayout(h, f.Jobs[0]).EvalHashed(base, NewHashedVector(f.Scenario))
 		for i, jv := range f.Jobs {
 			x := make([]float64, Dim)
 			copy(x, base)
@@ -87,7 +87,7 @@ func TestJobEvalFallbackOnLayoutMismatch(t *testing.T) {
 	f := extractFor(t, evalScenarios()[0])
 	base := make([]float64, Dim)
 	HashInto(base, f.Scenario)
-	ev := NewJobEval(h, base, f.Scenario, f.Jobs[0])
+	ev := NewJobLayout(h, f.Jobs[0]).EvalHashed(base, NewHashedVector(f.Scenario))
 
 	short := f.Jobs[1][:len(f.Jobs[1])-2] // drop trailing features: layout mismatch
 	x := make([]float64, Dim)
@@ -98,10 +98,10 @@ func TestJobEvalFallbackOnLayoutMismatch(t *testing.T) {
 	}
 }
 
-// TestPredictSparseMatchesDense: the scenario-head serving path
-// (DotVector over the sparse vector + stumps on the dense base) must
-// agree with the dense Predict on the hashed image.
-func TestPredictSparseMatchesDense(t *testing.T) {
+// TestPredictHashedMatchesDense: the scenario-head serving path (Dot
+// over the hashed vector + stumps on the dense base) must agree with the
+// dense Predict on the hashed image.
+func TestPredictHashedMatchesDense(t *testing.T) {
 	m, err := DefaultModel()
 	if err != nil {
 		t.Fatal(err)
@@ -109,69 +109,40 @@ func TestPredictSparseMatchesDense(t *testing.T) {
 	const tol = 1e-9
 	for _, scn := range evalScenarios() {
 		f := extractFor(t, scn)
+		hv := NewHashedVector(f.Scenario)
 		base := make([]float64, Dim)
 		HashInto(base, f.Scenario)
 		for i := range m.Heads {
 			h := &m.Heads[i]
 			dense := h.Predict(base)
-			if sparse := h.PredictSparse(base, f.Scenario); math.Abs(sparse-dense) > tol {
-				t.Errorf("%s head %s: sparse %v dense %v", scn.Name, h.Name, sparse, dense)
+			if hashed := h.PredictHashed(base, hv); math.Abs(hashed-dense) > tol {
+				t.Errorf("%s head %s: hashed %v dense %v", scn.Name, h.Name, hashed, dense)
 			}
 		}
 	}
 }
 
-// TestHashedVectorBitIdentical: the pre-resolved-slot serving path is
-// contractually bit-identical to the name-hashing path — Dot vs
-// DotVector, AddTo vs HashInto, PredictHashed vs PredictSparse, and
-// EvalHashed vs Eval preserve the exact operation order, so the learned
-// backend switching to HashedVector changes no prediction bit.
-func TestHashedVectorBitIdentical(t *testing.T) {
-	m, err := DefaultModel()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestHashedVectorAddToBitIdentical: AddTo keeps HashInto's exact
+// operation order, so the hashed base the learned backend builds matches
+// the name-hashing one bit for bit.
+func TestHashedVectorAddToBitIdentical(t *testing.T) {
 	for _, scn := range evalScenarios() {
 		f := extractFor(t, scn)
-		hv := NewHashedVector(f.Scenario)
-
 		base := make([]float64, Dim)
 		HashInto(base, f.Scenario)
 		viaHV := make([]float64, Dim)
-		hv.AddTo(viaHV)
+		NewHashedVector(f.Scenario).AddTo(viaHV)
 		for d := range base {
 			if base[d] != viaHV[d] {
 				t.Fatalf("%s: AddTo dim %d: %v != %v", scn.Name, d, viaHV[d], base[d])
 			}
 		}
-
-		for i := range m.Heads {
-			h := &m.Heads[i]
-			if got, want := hv.Dot(h.Weights), DotVector(h.Weights, f.Scenario); got != want {
-				t.Errorf("%s head %s: Dot %v != DotVector %v", scn.Name, h.Name, got, want)
-			}
-			if got, want := h.PredictHashed(base, hv), h.PredictSparse(base, f.Scenario); got != want {
-				t.Errorf("%s head %s: PredictHashed %v != PredictSparse %v",
-					scn.Name, h.Name, got, want)
-			}
-		}
-
-		sh := m.Head(HeadSlowdown)
-		layout := NewJobLayout(sh, f.Jobs[0])
-		evSparse := layout.Eval(base, f.Scenario)
-		evHashed := layout.EvalHashed(base, hv)
-		for i, jv := range f.Jobs {
-			if got, want := evHashed.Predict(jv), evSparse.Predict(jv); got != want {
-				t.Errorf("%s job %d: hashed-eval predict %v != sparse-eval %v",
-					scn.Name, i, got, want)
-			}
-		}
 	}
 }
 
-// TestDotVectorMatchesDenseDot pins the hashing linearity DotVector
-// relies on: colliding names sum the same way in both representations.
-func TestDotVectorMatchesDenseDot(t *testing.T) {
+// TestHashedDotMatchesDenseDot pins the hashing linearity Dot relies on:
+// colliding names sum the same way in both representations.
+func TestHashedDotMatchesDenseDot(t *testing.T) {
 	v := Vector{
 		{"bias", 1}, {"njobs", 3}, {"j:a", 0.25}, {"p=mltcp:load", 1.5},
 		{"bias", 2}, // duplicate name: accumulates
@@ -186,7 +157,7 @@ func TestDotVectorMatchesDenseDot(t *testing.T) {
 	for i, wi := range w {
 		dense += wi * x[i]
 	}
-	if got := DotVector(w, v); math.Abs(got-dense) > 1e-12 {
-		t.Fatalf("DotVector %v, dense dot %v", got, dense)
+	if got := NewHashedVector(v).Dot(w); math.Abs(got-dense) > 1e-12 {
+		t.Fatalf("Dot %v, dense dot %v", got, dense)
 	}
 }
