@@ -23,13 +23,14 @@ func TestPacingTransfersAllBytes(t *testing.T) {
 }
 
 func TestPacingReducesBurstLossAfterIdle(t *testing.T) {
-	// The scenario pacing exists for: a persistent connection
-	// (slow-start-after-idle disabled) resumes after a compute phase
-	// with a large inherited window. Unpaced, the whole window bursts
-	// into a shallow queue at the edge rate and overflows; paced, it is
-	// spread over one SRTT. Slow-start overshoot loss in the *first*
-	// batch is identical either way — compare retransmits accumulated
-	// after the second batch begins.
+	// The scenario pacing exists for: a connection resumes after a short
+	// compute phase with a large inherited window — 1ms after the drain,
+	// below MinRTO's 10ms floor, so slow-start-after-idle cannot reset
+	// it. Unpaced, the whole window bursts into a shallow queue at the
+	// edge rate and overflows; paced, it is spread over one SRTT.
+	// Slow-start overshoot loss in the *first* batch is identical either
+	// way — compare retransmits accumulated after the second batch
+	// begins.
 	run := func(pacing bool) int64 {
 		eng := sim.New()
 		// A long-RTT path (BDP ~85 packets) with a 40-packet buffer:
@@ -44,15 +45,19 @@ func TestPacingReducesBurstLossAfterIdle(t *testing.T) {
 			BottleneckQueue: func() netsim.Queue { return netsim.NewDropTail(40 * netsim.DefaultMTU) },
 		})
 		f := NewFlow(eng, 1, net.Left[0], net.Right[0], NewReno(),
-			Config{Pacing: pacing, DisableSlowStartAfterIdle: true})
+			Config{Pacing: pacing})
 		var afterFirst int64 = -1
 		batches := 0
 		f.Sender.Drained(func(now sim.Time) {
 			batches++
 			if batches == 1 {
 				afterFirst = f.Sender.Stats().Retransmits
-				eng.After(100*sim.Millisecond, func(*sim.Engine) {
+				eng.After(sim.Millisecond, func(*sim.Engine) {
+					inherited := f.Sender.Cwnd()
 					f.Sender.Write(2_000_000)
+					if f.Sender.Cwnd() != inherited {
+						t.Errorf("pacing=%v: window reset on resume, %v -> %v", pacing, inherited, f.Sender.Cwnd())
+					}
 				})
 			}
 		})

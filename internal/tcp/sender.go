@@ -23,11 +23,6 @@ type Config struct {
 	MinRTO sim.Time
 	// ECN makes data packets ECN-capable (required for DCTCP).
 	ECN bool
-	// SlowStartAfterIdle resets cwnd to InitialCwnd when the flow
-	// resumes after an idle period longer than the RTO, matching
-	// Linux's default behaviour between DNN iterations.
-	// Use the DisableSlowStartAfterIdle field to turn it off.
-	DisableSlowStartAfterIdle bool
 	// Pacing spreads packet emissions at cwnd/SRTT × PacingGain instead
 	// of bursting the whole window, as modern kernels (fq pacing) do.
 	// Pacing smooths queue occupancy and reduces slow-start burst loss.
@@ -232,7 +227,7 @@ func (s *Sender) Write(n int64) {
 	if s.sndUna == s.appLimit {
 		// Fresh batch after a drain: new iteration for tagging.
 		s.iterStart = s.appLimit
-		if !s.cfg.DisableSlowStartAfterIdle && now-s.lastActivity > s.rto && s.appLimit > 0 {
+		if now-s.lastActivity > s.rto && s.appLimit > 0 {
 			// Linux's slow-start-after-idle: window restarts, the
 			// ssthresh memory is kept.
 			s.cwnd = s.cfg.InitialCwnd

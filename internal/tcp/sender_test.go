@@ -200,29 +200,6 @@ func TestSlowStartAfterIdleResetsCwnd(t *testing.T) {
 	}
 }
 
-func TestDisableSlowStartAfterIdle(t *testing.T) {
-	eng := sim.New()
-	net := testNet(eng, 1, nil)
-	f := NewFlow(eng, 1, net.Left[0], net.Right[0], NewReno(),
-		Config{DisableSlowStartAfterIdle: true})
-	f.Sender.Write(2_000_000)
-	var cwndAfterBatch, cwndAfterIdleWrite float64
-	f.Sender.Drained(func(now sim.Time) {
-		if cwndAfterBatch == 0 {
-			cwndAfterBatch = f.Sender.Cwnd()
-			eng.After(sim.Second, func(*sim.Engine) {
-				f.Sender.Write(1000)
-				cwndAfterIdleWrite = f.Sender.Cwnd()
-			})
-		}
-	})
-	eng.RunUntil(5 * sim.Second)
-	if cwndAfterIdleWrite != cwndAfterBatch {
-		t.Errorf("cwnd changed across idle with reset disabled: %v -> %v",
-			cwndAfterBatch, cwndAfterIdleWrite)
-	}
-}
-
 func TestRenoWindowDynamics(t *testing.T) {
 	// Unit-test the CC in isolation with a fake window.
 	w := &fakeWindow{cwnd: 10, ssthresh: 8}
