@@ -189,6 +189,31 @@ func TestFluidPolicyMapping(t *testing.T) {
 	}
 }
 
+// TestTopologyFluidPolicy checks the allocator a topology scenario runs
+// on: every policy a fabric accepts shares by weight, which fluid.New
+// pairs with the network's weighted max-min; the fluid-only disciplines
+// are rejected before they reach it.
+func TestTopologyFluidPolicy(t *testing.T) {
+	fluidOnly := map[string]bool{}
+	for _, policy := range config.FluidOnlyPolicyNames() {
+		fluidOnly[policy] = true
+	}
+	for _, policy := range config.PolicyNames() {
+		scn := clusterScenario()
+		scn.Policy = policy
+		if err := scn.Normalize(); (err != nil) != fluidOnly[policy] {
+			t.Errorf("%s on a topology: Normalize() = %v", policy, err)
+			continue
+		}
+		if fluidOnly[policy] {
+			continue
+		}
+		if got := fluidPolicy(policy); reflect.TypeOf(got) != reflect.TypeOf(fluid.WeightedShare{}) {
+			t.Errorf("%s on a topology -> %T, want fluid.WeightedShare", policy, got)
+		}
+	}
+}
+
 func TestCentralizedRunsAtBothFidelities(t *testing.T) {
 	t.Parallel()
 	scn := smallScenario("centralized")

@@ -33,7 +33,9 @@ func TestLoadDefaults(t *testing.T) {
 	}
 }
 
-func TestReplicaExpansion(t *testing.T) {
+// TestBuildJobsExpansion checks how a scenario's job list expands into
+// the jobs every backend builds: replicas unrolled, named and staggered.
+func TestBuildJobsExpansion(t *testing.T) {
 	s, err := Load(strings.NewReader(fourJobScenario))
 	if err != nil {
 		t.Fatal(err)

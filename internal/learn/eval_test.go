@@ -98,10 +98,10 @@ func TestJobEvalFallbackOnLayoutMismatch(t *testing.T) {
 	}
 }
 
-// TestPredictHashedMatchesDense: the scenario-head serving path (Dot
-// over the hashed vector + stumps on the dense base) must agree with the
-// dense Predict on the hashed image.
-func TestPredictHashedMatchesDense(t *testing.T) {
+// TestPredictSparseMatchesDense: the scenario-head serving path (Dot
+// over the sparse hashed vector + stumps on the dense base) must agree
+// with the dense Predict on the hashed image.
+func TestPredictSparseMatchesDense(t *testing.T) {
 	m, err := DefaultModel()
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +122,10 @@ func TestPredictHashedMatchesDense(t *testing.T) {
 	}
 }
 
-// TestHashedVectorAddToBitIdentical: AddTo keeps HashInto's exact
+// TestHashedVectorBitIdentical: AddTo keeps HashInto's exact
 // operation order, so the hashed base the learned backend builds matches
 // the name-hashing one bit for bit.
-func TestHashedVectorAddToBitIdentical(t *testing.T) {
+func TestHashedVectorBitIdentical(t *testing.T) {
 	for _, scn := range evalScenarios() {
 		f := extractFor(t, scn)
 		base := make([]float64, Dim)
@@ -140,9 +140,10 @@ func TestHashedVectorAddToBitIdentical(t *testing.T) {
 	}
 }
 
-// TestHashedDotMatchesDenseDot pins the hashing linearity Dot relies on:
-// colliding names sum the same way in both representations.
-func TestHashedDotMatchesDenseDot(t *testing.T) {
+// TestDotVectorMatchesDenseDot pins the hashing linearity a Vector's
+// hashed Dot relies on: colliding names sum the same way in both
+// representations.
+func TestDotVectorMatchesDenseDot(t *testing.T) {
 	v := Vector{
 		{"bias", 1}, {"njobs", 3}, {"j:a", 0.25}, {"p=mltcp:load", 1.5},
 		{"bias", 2}, // duplicate name: accumulates
