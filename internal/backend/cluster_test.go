@@ -178,7 +178,7 @@ func TestMaxMinMatchesLegacyOnGoldenScenarios(t *testing.T) {
 					Telemetry:   rec,
 				}
 				if network {
-					cfg.Network = fluid.NewNetwork([]units.Rate{scn.Capacity()}, []string{"bottleneck"})
+					cfg.Network = fluid.NewNetwork([]units.Rate{scn.Capacity()})
 					for _, j := range jobs {
 						j.Path = []int{0}
 					}

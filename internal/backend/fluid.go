@@ -51,7 +51,7 @@ func (b *Fluid) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*Re
 		Telemetry:   rec,
 	}
 	if c.pc != nil {
-		fcfg.Network = fluid.NewNetwork(c.pc.LinkCaps, c.pc.LinkNames)
+		fcfg.Network = fluid.NewNetwork(c.pc.LinkCaps)
 	}
 	fsim := fluid.New(fcfg, jobs)
 

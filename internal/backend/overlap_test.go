@@ -203,6 +203,10 @@ func TestOverlapMatchesReference(t *testing.T) {
 			periodicJob(ms(10), ms(100), ms(50), 10, false, "a")},
 		"open phases": {{CommStarts: []sim.Time{ms(100), ms(300), ms(600)}, CommEnds: []sim.Time{ms(200)}},
 			{CommStarts: []sim.Time{ms(700), ms(100)}}},
+		// A job whose phases overlap each other beside one with no
+		// phases: the pair's score is the first job's overlap with
+		// itself, not 0.
+		"self-overlap beside empty": {periodicJob(0, ms(40), ms(100), 20, false, "a"), {PathLinks: []string{"b"}}},
 	}
 	for name, jobs := range cases {
 		checkOverlap(t, name, jobs, horizon)
@@ -220,9 +224,9 @@ func TestOverlapMatchesReference(t *testing.T) {
 // FuzzOverlapMatchesReference is the differential comparison under the
 // fuzzer: the input bytes lay out up to 64 jobs, each a count of phases
 // then per phase a start and a length on a coarse grid (equal times are
-// common), some left unfinished and some out of order, plus one path
-// link; OverlapScoreOf over each window and finishCluster must match the
-// reference bit for bit.
+// common), some left unfinished and some out of order, plus one to
+// three path links; OverlapScoreOf over each window and finishCluster,
+// its pair classes included, must match the reference bit for bit.
 func FuzzOverlapMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 3, 0, 4, 10, 4, 20, 4, 0, 3, 0, 4, 10, 4, 20, 4, 0})
@@ -250,7 +254,11 @@ func FuzzOverlapMatchesReference(f *testing.F) {
 					jobs[i].CommEnds = append(jobs[i].CommEnds, at+sim.Time(next())*grid)
 				}
 			}
-			jobs[i].PathLinks = []string{fmt.Sprint(next() % 3)}
+			links := next()
+			for range 1 + links%3 {
+				links /= 3
+				jobs[i].PathLinks = append(jobs[i].PathLinks, fmt.Sprint(links%5))
+			}
 		}
 		checkOverlap(t, "fuzz", jobs, sim.Time(1+next())*20*grid)
 	})

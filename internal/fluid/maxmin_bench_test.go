@@ -86,7 +86,7 @@ func fatTree8Trace() (*Network, []*Job) {
 		all[i] = netJob(fmt.Sprintf("j%02d", i), 1, fab.Path(s, d, rng.Uint64()))
 		all[i].Agg = &agg
 	}
-	return NewNetwork(caps, nil), all
+	return NewNetwork(caps), all
 }
 
 // fillWindow returns the start of the window of flows consecutive jobs

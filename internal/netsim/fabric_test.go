@@ -8,6 +8,13 @@ import (
 	"mltcp/internal/units"
 )
 
+// linkName is link id's display name, its end nodes' names joined by
+// "->".
+func linkName(f *Fabric, id int) string {
+	l := f.Links()[id]
+	return f.Nodes()[l.From].Name + "->" + f.Nodes()[l.To].Name
+}
+
 // checkPath asserts the link IDs form a connected directed chain from src
 // to dst and returns its length.
 func checkPath(t *testing.T, f *Fabric, src, dst int, path []int) int {
@@ -20,10 +27,10 @@ func checkPath(t *testing.T, f *Fabric, src, dst int, path []int) int {
 		l := f.Links()[id]
 		if l.From != at {
 			t.Fatalf("path %d->%d: link %s starts at %s, expected %s",
-				src, dst, l.Name, f.Nodes()[l.From].Name, f.Nodes()[at].Name)
+				src, dst, linkName(f, id), f.Nodes()[l.From].Name, f.Nodes()[at].Name)
 		}
 		if l.Capacity <= 0 {
-			t.Fatalf("link %s has capacity %v", l.Name, l.Capacity)
+			t.Fatalf("link %s has capacity %v", linkName(f, id), l.Capacity)
 		}
 		at = l.To
 	}
@@ -123,7 +130,7 @@ func TestFatTreeECMPChoicesDistinct(t *testing.T) {
 		p := f.Path(src, dst, uint64(c))
 		key := ""
 		for _, id := range p {
-			key += f.Links()[id].Name + "|"
+			key += linkName(f, id) + "|"
 		}
 		if seen[key] {
 			t.Fatalf("choice %d repeats path %s", c, key)
