@@ -26,7 +26,7 @@ type WeightedShare struct{}
 //
 // hot
 func (WeightedShare) Allocate(capacity units.Rate, active []*Job, rates []units.Rate, sc *AllocScratch) {
-	weights := sc.weights(len(active))
+	weights := fit(&sc.Weights, len(active))
 	var sum float64
 	for i, j := range active {
 		w := j.Weight()

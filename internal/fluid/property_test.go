@@ -33,10 +33,10 @@ func TestFluidConservationProperty(t *testing.T) {
 		var delivered float64
 		for _, j := range jobs {
 			// Completed phases delivered exactly CommBytes each.
-			delivered += float64(len(j.CommEnds)) * j.TotalBytes()
+			delivered += float64(len(j.CommEnds)) * j.totalBytes
 			// Partially complete phase: demand minus remaining.
 			if j.Communicating() {
-				delivered += j.TotalBytes() - j.commRemaining
+				delivered += j.totalBytes - j.commRemaining
 			}
 			// Bookkeeping invariants.
 			if len(j.CommEnds) > len(j.CommStarts) {
